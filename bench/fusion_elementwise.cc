@@ -20,7 +20,6 @@
  */
 #include <benchmark/benchmark.h>
 
-#include <cstdlib>
 #include <memory>
 
 #include "core/rng.h"
@@ -204,15 +203,13 @@ BENCHMARK(BM_GateGradChainFused)
 void
 wordLmIteration(benchmark::State &state, bool fuse)
 {
-    setenv("ECHO_FUSION", fuse ? "1" : "0", 1);
     models::WordLmConfig cfg;
     cfg.vocab = 120;
     cfg.hidden = 32;
     cfg.layers = 2;
     cfg.batch = 32;
     cfg.seq_len = 16;
-    models::WordLmModel model(cfg);
-    unsetenv("ECHO_FUSION");
+    models::WordLmModel model(cfg, fuse ? "autodiff,fusion" : "autodiff");
 
     Rng rng(7);
     const models::ParamStore params = model.initialParams(rng);

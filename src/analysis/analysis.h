@@ -8,8 +8,8 @@
  * Consumed three ways:
  *  - the echo-lint CLI (tools/echo_lint.cc) for CI,
  *  - tests, as a mandatory post-pass check,
- *  - the training loop, behind the ECHO_VERIFY=1 environment flag
- *    (verifyEnvEnabled / verifyOrDie).
+ *  - the pass manager's checkers, including the "verify" pass that a
+ *    pipeline spec (e.g. ECHO_PASSES=autodiff,fusion,verify) appends.
  */
 #ifndef ECHO_ANALYSIS_ANALYSIS_H
 #define ECHO_ANALYSIS_ANALYSIS_H
@@ -21,7 +21,6 @@
 #include "analysis/numeric_verify.h"
 #include "analysis/pass_audit.h"
 #include "analysis/report.h"
-#include "analysis/tape_audit.h"
 
 namespace echo::analysis {
 
@@ -41,16 +40,6 @@ struct AnalyzeOptions
 AnalysisReport analyzeAll(const std::vector<graph::Val> &fetches,
                           const std::vector<graph::Val> &weight_grads = {},
                           const AnalyzeOptions &opts = {});
-
-/** True when the ECHO_VERIFY environment variable is set to 1. */
-bool verifyEnvEnabled();
-
-/**
- * analyzeAll, panicking with the full report when it finds errors.
- * @p what names the caller in the panic message.
- */
-void verifyOrDie(const std::vector<graph::Val> &fetches,
-                 const char *what);
 
 } // namespace echo::analysis
 

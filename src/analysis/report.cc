@@ -97,8 +97,6 @@ checkName(Check check)
         return "budget-exceeded";
       case Check::kPlanStale:
         return "plan-stale";
-      case Check::kTapeSlotMismatch:
-        return "tape-slot-mismatch";
     }
     return "?";
 }

@@ -3,9 +3,10 @@
  * Diagnostic types shared by every static analyzer in src/analysis.
  *
  * Analyzers never abort on a violation — they collect Diagnostics into
- * an AnalysisReport so callers (echo-lint, tests, the ECHO_VERIFY hook)
- * can print the whole story: which invariant broke, and the chain of
- * offending nodes (name, op, phase, schedule slot) that breaks it.
+ * an AnalysisReport so callers (echo-lint, tests, the pass manager's
+ * checkers) can print the whole story: which invariant broke, and the
+ * chain of offending nodes (name, op, phase, schedule slot) that breaks
+ * it.
  */
 #ifndef ECHO_ANALYSIS_REPORT_H
 #define ECHO_ANALYSIS_REPORT_H
@@ -57,8 +58,6 @@ enum class Check {
     // Budget planner (checkPoolBudget / plan-feasible checker).
     kBudgetExceeded, ///< transient pool peak above the byte budget
     kPlanStale,      ///< recorded memory plan disagrees with the graph
-    // Execution-tape auditor.
-    kTapeSlotMismatch, ///< a tape slot disagrees with the memory plan
 };
 
 /** Stable kebab-case name of a check (diagnostic codes in output). */

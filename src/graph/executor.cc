@@ -1,16 +1,13 @@
 #include "graph/executor.h"
 
 #include <condition_variable>
-#include <cstdlib>
 #include <deque>
 #include <exception>
 #include <mutex>
-#include <string_view>
 
 #include "core/logging.h"
 #include "core/thread_pool.h"
 #include "graph/gemm_keys.h"
-#include "graph/tape.h"
 #include "obs/counters.h"
 #include "obs/trace.h"
 #include "tune/tuner.h"
@@ -35,20 +32,6 @@ countOp(const Node *node)
     c_ops.add(1);
     if (node->phase == Phase::kRecompute)
         c_replays.add(1);
-}
-
-/** ECHO_TAPE=on|1 routes Executor::run through the compiled tape. */
-bool
-tapeEnvEnabled()
-{
-    static const bool on = [] {
-        const char *e = std::getenv("ECHO_TAPE");
-        if (!e)
-            return false;
-        const std::string_view v(e);
-        return v == "on" || v == "1";
-    }();
-    return on;
 }
 
 const char *
@@ -116,24 +99,9 @@ Executor::Executor(std::vector<Val> fetches, ExecMode mode)
     }
 }
 
-Executor::~Executor() = default;
-
-Tape &
-Executor::compile() const
-{
-    std::lock_guard<std::mutex> lk(tape_mu_);
-    if (!tape_)
-        tape_ = std::make_unique<Tape>(fetches_);
-    return *tape_;
-}
-
 const Tensor &
 Executor::feedValue(const FeedDict &feed, const Node *n) const
 {
-    // The tape's index-bound feed path skips this hash entirely; the
-    // counter makes the difference auditable (bench/steady_state).
-    static obs::Counter &c_lookups = obs::counter("exec.feed_lookups");
-    c_lookups.add(1);
     auto it = feed.find(n);
     ECHO_REQUIRE(it != feed.end(), "no feed for ",
                  (n->kind == NodeKind::kWeight ? "weight "
@@ -173,15 +141,6 @@ Executor::run(const FeedDict &feed) const
     const bool parallel = useParallel();
     static obs::Counter &c_runs = obs::counter("exec.runs");
     c_runs.add(1);
-    if (tapeEnvEnabled()) {
-        // Hold the lock across bind + run: the tape's arena and value
-        // table are mutable per-run state shared by all callers.
-        std::lock_guard<std::mutex> lk(tape_mu_);
-        if (!tape_)
-            tape_ = std::make_unique<Tape>(fetches_);
-        tape_->bindFeeds(feed);
-        return tape_->run(parallel);
-    }
     obs::Span span;
     if (obs::traceEnabled())
         span.begin("exec", parallel ? "run.parallel" : "run.serial",

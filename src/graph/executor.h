@@ -24,8 +24,6 @@
 #ifndef ECHO_GRAPH_EXECUTOR_H
 #define ECHO_GRAPH_EXECUTOR_H
 
-#include <memory>
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -33,8 +31,6 @@
 #include "graph/schedule.h"
 
 namespace echo::graph {
-
-class Tape;
 
 /** Values fed into a run: one tensor per placeholder / weight node. */
 using FeedDict = std::unordered_map<const Node *, Tensor>;
@@ -62,28 +58,16 @@ class Executor
     explicit Executor(std::vector<Val> fetches,
                       ExecMode mode = ExecMode::kAuto);
 
-    ~Executor();
-
     /**
      * Run the schedule.  @p feed must contain a tensor for every
      * placeholder and weight in the fetched subgraph.  Intermediate
      * tensors are freed as soon as their last consumer has run.
      *
-     * Thread-safe: all per-run state is local, so concurrent run()
-     * calls on one Executor are fine.  Under ECHO_TAPE=on runs route
-     * through the compiled tape (graph/tape.h), whose mutable arena
-     * state is serialized by an internal mutex — still thread-safe,
-     * but concurrent runs no longer overlap.
+     * Thread-safe: all per-run state is local and the executor itself
+     * is immutable after construction, so concurrent run() calls on one
+     * Executor overlap freely.
      */
     std::vector<Tensor> run(const FeedDict &feed) const;
-
-    /**
-     * The steady-state execution tape for this fetch set, compiled on
-     * first use and cached (see graph/tape.h).  Callers that bind
-     * feeds by index and call Tape::run directly must serialize their
-     * own access; Executor::run's tape route does so internally.
-     */
-    Tape &compile() const;
 
     /** The schedule this executor runs (for inspection/tests). */
     const std::vector<Node *> &schedule() const { return schedule_; }
@@ -121,10 +105,6 @@ class Executor
     std::vector<std::vector<int>> input_slots_;
     /** Slot of each fetch, aligned with fetches_. */
     std::vector<int> fetch_slots_;
-
-    /** Lazily compiled steady-state tape (and its run serializer). */
-    mutable std::unique_ptr<Tape> tape_;
-    mutable std::mutex tape_mu_;
 };
 
 } // namespace echo::graph

@@ -1,8 +1,6 @@
 #include "graph/fusion.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -128,9 +126,6 @@ runFusionPass(graph::Graph &g, const std::vector<Val> &fetches,
               const FusionConfig &config)
 {
     FusionResult res;
-    if (!config.enabled)
-        return res;
-
     const std::vector<Node *> alive = graph::reachableNodes(fetches);
     const UseMap uses = buildUseMap(g, fetches);
     std::unordered_map<const Node *, std::vector<EwInstr>> lowerings;
@@ -227,21 +222,6 @@ runFusionPass(graph::Graph &g, const std::vector<Val> &fetches,
     std::reverse(res.groups.begin(), res.groups.end());
     countFusion(res);
     return res;
-}
-
-bool
-fusionEnvEnabled()
-{
-    const char *env = std::getenv("ECHO_FUSION");
-    return env == nullptr || std::strcmp(env, "0") != 0;
-}
-
-FusionResult
-fuseIfEnabled(graph::Graph &g, const std::vector<Val> &fetches)
-{
-    FusionConfig config;
-    config.enabled = fusionEnvEnabled();
-    return runFusionPass(g, fetches, config);
 }
 
 } // namespace echo::fusion

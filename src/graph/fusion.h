@@ -26,8 +26,9 @@
  *    makes cycles impossible: only the sink's output leaves the group,
  *    and every member's id is below the sink's.
  *
- * The pass is on by default (ECHO_FUSION=0 disables it) and runs after
- * autodiff, so gradients are fused exactly like forward chains.
+ * The pass is in the default training and serving pipelines (a spec
+ * without "fusion", e.g. ECHO_PASSES=autodiff, leaves it out) and runs
+ * after autodiff, so gradients are fused exactly like forward chains.
  * Byte-identical outputs vs. the unfused graph at any thread count is
  * the hard contract, enforced by tests/test_fusion.cc and the fuzz
  * property suite.
@@ -44,8 +45,6 @@ namespace echo::fusion {
 /** Tuning knobs of the fusion pass. */
 struct FusionConfig
 {
-    /** Master switch; runFusionPass is a no-op when false. */
-    bool enabled = true;
     /** Minimum ops per group (a 1-op "fusion" only adds overhead). */
     int min_group_size = 2;
 };
@@ -87,16 +86,6 @@ struct FusionResult
 FusionResult runFusionPass(graph::Graph &g,
                            const std::vector<graph::Val> &fetches,
                            const FusionConfig &config = {});
-
-/** ECHO_FUSION environment switch; unset or "1" = on, "0" = off. */
-bool fusionEnvEnabled();
-
-/**
- * Convenience used by the model builders: runFusionPass with the
- * default config when fusionEnvEnabled(), else an empty result.
- */
-FusionResult fuseIfEnabled(graph::Graph &g,
-                           const std::vector<graph::Val> &fetches);
 
 } // namespace echo::fusion
 

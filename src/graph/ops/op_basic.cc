@@ -306,7 +306,7 @@ class TanhGradOp : public ActGradOp
     forward(const std::vector<Tensor> &in,
             std::vector<Tensor> &out) const override
     {
-        // One output-sized allocation (tape steady state); per-element
+        // One output-sized allocation, no temporaries; per-element
         // float ops in the lowering's exact order: square, neg, +1,
         // mul — bit-identical to both the op chain and the fused form.
         Tensor r(in[1].shape());

@@ -201,10 +201,10 @@ FusedElementwiseOp::forward(const std::vector<Tensor> &in,
     Tensor result(in[0].shape());
     float *res = result.data();
 
-    // Reused per-thread scratch: forward() is on the steady-state
-    // (tape) hot path, where every per-dispatch heap allocation shows
-    // up in the zero-malloc audit.  Grow-only resize — the register
-    // file is bounded by the largest fused program seen.
+    // Reused per-thread scratch: forward() runs once per fused group
+    // per iteration, so a per-dispatch heap allocation here would be
+    // paid thousands of times per step.  Grow-only resize — the
+    // register file is bounded by the largest fused program seen.
     thread_local std::vector<const float *> src_scratch;
     src_scratch.resize(in.size());
     const float **src = src_scratch.data();

@@ -320,7 +320,7 @@ class CrossEntropyGradOp : public Op
             std::vector<Tensor> &out) const override
     {
         // Fold the upstream dL into the masking pass: one output-sized
-        // allocation, so the tape's arena slot always serves it.
+        // allocation and no [N x V] temporary.
         out[0] = ops::crossEntropyGrad(in[1], in[2], in[0].at(0));
     }
 

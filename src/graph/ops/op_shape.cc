@@ -295,8 +295,8 @@ class SliceGradOp : public Op
     {
         const int nd = in[0].shape().ndim();
         const int axis = axis_ < 0 ? axis_ + nd : axis_;
-        // withDim, not dims(): this runs once per slice per iteration
-        // and must stay allocation-free for the tape's steady state.
+        // withDim, not dims(): this runs once per slice per iteration,
+        // so the shape must not cost a heap allocation.
         const Shape full_shape = in[0].shape().withDim(axis, extent_);
         Tensor full = Tensor::zeros(full_shape);
 

@@ -13,9 +13,9 @@
  * versioned header exists so future layout changes can be detected
  * instead of misread.
  *
- * Legacy format ("ECHO0001"): same body with no version word after the
- * magic.  loadParams still reads it; saveParams always writes the
- * current format.
+ * Any other "ECHO"-prefixed magic (such as the headerless version-1
+ * layout) is an unsupported format: loadParams rejects it with an
+ * error rather than guessing at its body.
  */
 #ifndef ECHO_MODELS_SERIALIZE_H
 #define ECHO_MODELS_SERIALIZE_H
@@ -33,8 +33,8 @@ inline constexpr uint32_t kCheckpointVersion = 2;
 /** Write @p params to @p path (overwrites).  fatal() on I/O errors. */
 void saveParams(const ParamStore &params, const std::string &path);
 
-/** Read a checkpoint written by saveParams (either format version).
- *  fatal() on bad files. */
+/** Read a checkpoint written by saveParams.  fatal() on bad files,
+ *  including unsupported formats and versions. */
 ParamStore loadParams(const std::string &path);
 
 } // namespace echo::models

@@ -22,8 +22,6 @@ invariantName(Invariant inv)
         return "memory-planned";
       case Invariant::kPlanFeasible:
         return "plan-feasible";
-      case Invariant::kTapeReady:
-        return "tape-ready";
     }
     return "unknown-invariant";
 }

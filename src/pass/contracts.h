@@ -60,14 +60,6 @@ enum class Invariant : uint8_t {
      *  checked post-hoc by the plan-feasible checker, which re-derives
      *  the pool peak and replays the allocation timeline. */
     kPlanFeasible,
-    /** ctx.tape holds an execution tape compiled against ctx.plan: the
-     *  schedule lowered to flat dispatch records with every transient
-     *  placed at its planner offset inside an arena of exactly
-     *  pool_peak_bytes.  Established by tape_compile; any pass that
-     *  rewrites the graph or replaces the plan invalidates it.  The
-     *  tape-ready checker replays the tape's records against its
-     *  liveness analysis (analysis::auditTape). */
-    kTapeReady,
 };
 
 /** Stable kebab-case name ("differentiable", "gradients", ...). */

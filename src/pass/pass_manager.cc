@@ -6,7 +6,6 @@
 #include <sstream>
 
 #include "core/logging.h"
-#include "graph/tape.h"
 #include "memory/liveness.h"
 #include "memory/planner.h"
 #include "obs/counters.h"
@@ -229,43 +228,12 @@ checkPlanFeasible(const PipelineContext &ctx)
     return report;
 }
 
-analysis::AnalysisReport
-checkTapeReady(const PipelineContext &ctx)
-{
-    // Only meaningful while a tape claims to describe the current
-    // graph and plan; rewriting passes invalidate kTapeReady and
-    // silence this checker until tape_compile runs again.
-    if (ctx.holds.count(Invariant::kTapeReady) == 0 ||
-        ctx.tape == nullptr) {
-        return {};
-    }
-    const std::vector<graph::Val> eff = ctx.effectiveFetches();
-    if (!fetchesVerifyClean(eff))
-        return {};
-    analysis::AnalysisReport report = analysis::auditTape(*ctx.tape);
-    // The audit replays the tape against its own analysis; also pin
-    // the arena to a plan re-derived from the CURRENT graph, so a tape
-    // compiled before a rewrite cannot keep claiming tape-ready.
-    const memory::LivenessResult live =
-        memory::analyzeLiveness(eff, ctx.weight_grads);
-    const memory::MemoryPlan fresh = memory::planMemory(live);
-    if (fresh.pool_peak_bytes != ctx.tape->arenaBytes()) {
-        report.add(analysis::Check::kPlanStale, analysis::Severity::kError,
-                   "tape arena is " +
-                       std::to_string(ctx.tape->arenaBytes()) +
-                       " bytes but re-planning the current graph gives "
-                       "pool peak " +
-                       std::to_string(fresh.pool_peak_bytes) + " bytes");
-    }
-    return report;
-}
-
 /** Canonical replay order: the structural verifier first (the others
  *  defer to it), then schedule analyses, then the pass audits. */
 const char *const kBuiltinCheckerOrder[] = {
     "graph-verify",       "lifetime",        "hazards",
     "fusion-audit",       "recompute-audit", "workspace-aliasing",
-    "memory-plan",        "plan-feasible",   "tape-ready",
+    "memory-plan",        "plan-feasible",
 };
 
 std::once_flag builtin_checkers_once;
@@ -282,7 +250,6 @@ ensureBuiltinCheckers()
         registerChecker("workspace-aliasing", checkWorkspaceAliasing);
         registerChecker("memory-plan", checkMemoryPlan);
         registerChecker("plan-feasible", checkPlanFeasible);
-        registerChecker("tape-ready", checkTapeReady);
     });
 }
 

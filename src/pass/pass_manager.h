@@ -47,10 +47,6 @@
 #include "pass/contracts.h"
 #include "rnn/rnn_config.h"
 
-namespace echo::graph {
-class Tape;
-} // namespace echo::graph
-
 namespace echo::pass {
 
 /**
@@ -107,12 +103,6 @@ struct PipelineContext
     budget::BudgetConfig budget_config;
     budget::BudgetPlan budget_plan;
     bool has_budget_plan = false;
-
-    /** Execution tape compiled against `plan` (tape_compile pass; the
-     *  tape-ready checker replays it against its liveness analysis).
-     *  shared_ptr so pipeline consumers — trainers, serving sessions —
-     *  can keep running the tape after the context is gone. */
-    std::shared_ptr<graph::Tape> tape;
 
     /** Serving workspace journal, for the workspace-aliasing checker
      *  (empty outside serving replays). */

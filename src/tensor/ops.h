@@ -184,7 +184,7 @@ Tensor embeddingGrad(const Tensor &table, const Tensor &ids,
                      const Tensor &out_grad);
 
 /** Same, from the table's shape alone — no dummy table allocation
- *  (the tape-friendly form: exactly one output-sized allocation). */
+ *  (exactly one output-sized allocation). */
 Tensor embeddingGrad(const Shape &table_shape, const Tensor &ids,
                      const Tensor &out_grad);
 

@@ -94,8 +94,7 @@ crossEntropy(const Tensor &logits, const Tensor &labels)
 
     // Per-row log-softmax computed inline, in exactly the float-op
     // order logSoftmaxLastAxis uses — bit-identical loss without
-    // materializing the [N x V] temporary (which would defeat the
-    // execution tape's zero-allocation steady state).  The serial loop
+    // materializing an [N x V] temporary per call.  The serial loop
     // keeps the summation order fixed.
     double loss = 0.0;
     const int64_t valid = countValidLabels(labels);

@@ -27,8 +27,8 @@
  *    fits once fits forever and hit rate reaches 100% after the first
  *    iteration.
  *
- * ECHO_PACK_CACHE=off disables the cache entirely (honest baselines
- * for the steady-state bench).  Counters: pack_cache.hit / .miss /
+ * ECHO_PACK_CACHE=off disables the cache entirely (honest uncached
+ * baselines).  Counters: pack_cache.hit / .miss /
  * .bytes (bytes ever packed; kScheduling — schedules, and therefore
  * panel layouts, depend on the thread count).
  */

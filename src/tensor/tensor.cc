@@ -5,43 +5,12 @@
 
 #include "core/logging.h"
 #include "core/rng.h"
-#include "obs/counters.h"
-#include "tensor/alloc_hook.h"
 
 namespace echo {
-
-AllocHook &
-threadAllocHook()
-{
-    thread_local AllocHook hook;
-    return hook;
-}
 
 void
 Tensor::allocate()
 {
-    AllocHook &hook = threadAllocHook();
-    if (hook.armed()) {
-        const int64_t bytes = shape_.bytes();
-        for (int i = 0; i < hook.count; ++i) {
-            AllocSlot &slot = hook.slots[i];
-            if (!slot.claimed && slot.bytes == bytes) {
-                slot.claimed = true;
-                // Aliasing constructor: shares the region owner's
-                // control block — no heap allocation on this path.
-                storage_ = std::shared_ptr<void>(*slot.owner, slot.ptr);
-                data_ = slot.ptr;
-                return;
-            }
-        }
-        // No slot fits: fall back to the heap.  Correct but visible —
-        // the tape's zero-malloc claim is audited via this counter.
-        // kScheduling: which allocations run under an armed hook can
-        // depend on dispatch (thread count picks GEMM schedules etc.).
-        static obs::Counter &c_miss =
-            obs::counter("tape.arena_miss", obs::CounterKind::kScheduling);
-        c_miss.add(1);
-    }
     auto vec = std::make_shared<std::vector<float>>(
         static_cast<size_t>(shape_.numel()));
     data_ = vec->data();
@@ -100,18 +69,6 @@ Tensor::gaussian(Shape shape, Rng &rng, float mean, float stddev)
     const int64_t n = t.numel();
     for (int64_t i = 0; i < n; ++i)
         p[i] = static_cast<float>(rng.gaussian(mean, stddev));
-    return t;
-}
-
-Tensor
-Tensor::fromExternal(Shape shape, float *data, std::shared_ptr<void> owner)
-{
-    ECHO_REQUIRE(data != nullptr || shape.numel() == 0,
-                 "fromExternal with null data");
-    Tensor t;
-    t.shape_ = shape;
-    t.data_ = data;
-    t.storage_ = std::move(owner);
     return t;
 }
 

@@ -9,12 +9,8 @@
  * need to be correct, not fast, and are kept deliberately simple.
  *
  * Storage is an opaque owner (shared_ptr<void>) plus a raw data
- * pointer, so a tensor can wrap memory it does not manage — an
- * execution-tape arena slot, a caller's buffer — as long as the owner
- * keeps it alive.  The allocating constructors consult the thread's
- * AllocSlot hook (tensor/alloc_hook.h) first, which is how the tape
- * places op outputs at planner-assigned arena offsets without the ops
- * knowing.
+ * pointer; the owner's control block identifies the buffer for caches
+ * keyed on it (tensor/pack_cache.h).
  */
 #ifndef ECHO_TENSOR_TENSOR_H
 #define ECHO_TENSOR_TENSOR_H
@@ -57,14 +53,6 @@ class Tensor
     /** I.i.d. Gaussian values. */
     static Tensor gaussian(Shape shape, Rng &rng, float mean = 0.0f,
                            float stddev = 1.0f);
-
-    /**
-     * Wrap external memory: @p data must hold shape.numel() floats and
-     * stay valid for as long as @p owner does.  No copy, no allocation
-     * beyond the shared_ptr bookkeeping.
-     */
-    static Tensor fromExternal(Shape shape, float *data,
-                               std::shared_ptr<void> owner);
 
     const Shape &shape() const { return shape_; }
     int64_t numel() const { return shape_.numel(); }
@@ -113,7 +101,7 @@ class Tensor
   private:
     float *checkedData() const;
 
-    /** Heap- or hook-allocate numel floats for shape_ (uninitialized). */
+    /** Heap-allocate numel floats for shape_ (uninitialized). */
     void allocate();
 
     std::shared_ptr<void> storage_;

@@ -8,6 +8,8 @@
 
 #include <cmath>
 #include <functional>
+#include <ostream>
+#include <string>
 
 #include "core/rng.h"
 #include "graph/autodiff.h"
@@ -89,8 +91,23 @@ TEST(Autodiff, ScaleChain)
     checkGradients(g, loss, {x}, feed);
 }
 
-class BinaryOpGrad
-    : public ::testing::TestWithParam<std::function<OpPtr()>>
+/**
+ * One op under gradient check.  Its printed name becomes the ctest name,
+ * which would otherwise embed the (ASLR-randomised) function address.
+ */
+struct OpCase
+{
+    std::string name;
+    std::function<OpPtr()> make;
+};
+
+void
+PrintTo(const OpCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
+class BinaryOpGrad : public ::testing::TestWithParam<OpCase>
 {
 };
 
@@ -99,7 +116,7 @@ TEST_P(BinaryOpGrad, MatchesFiniteDifference)
     Graph g;
     Val a = g.placeholder(Shape({2, 3}), "a");
     Val b = g.placeholder(Shape({2, 3}), "b");
-    Val y = g.apply1(GetParam()(), {a, b});
+    Val y = g.apply1(GetParam().make(), {a, b});
     Val loss = scalarize(g, y);
     Rng rng(2);
     FeedDict feed;
@@ -110,12 +127,10 @@ TEST_P(BinaryOpGrad, MatchesFiniteDifference)
 
 INSTANTIATE_TEST_SUITE_P(
     AddSubMul, BinaryOpGrad,
-    ::testing::Values(std::function<OpPtr()>(&ol::add),
-                      std::function<OpPtr()>(&ol::sub),
-                      std::function<OpPtr()>(&ol::mul)));
+    ::testing::Values(OpCase{"add", &ol::add}, OpCase{"sub", &ol::sub},
+                      OpCase{"mul", &ol::mul}));
 
-class UnaryOpGrad
-    : public ::testing::TestWithParam<std::function<OpPtr()>>
+class UnaryOpGrad : public ::testing::TestWithParam<OpCase>
 {
 };
 
@@ -123,7 +138,7 @@ TEST_P(UnaryOpGrad, MatchesFiniteDifference)
 {
     Graph g;
     Val x = g.placeholder(Shape({2, 4}), "x");
-    Val y = g.apply1(GetParam()(), {x});
+    Val y = g.apply1(GetParam().make(), {x});
     Val loss = scalarize(g, y);
     Rng rng(3);
     FeedDict feed;
@@ -134,10 +149,9 @@ TEST_P(UnaryOpGrad, MatchesFiniteDifference)
 
 INSTANTIATE_TEST_SUITE_P(
     Activations, UnaryOpGrad,
-    ::testing::Values(std::function<OpPtr()>(&ol::tanhOp),
-                      std::function<OpPtr()>(&ol::sigmoidOp),
-                      std::function<OpPtr()>(&ol::reluOp),
-                      std::function<OpPtr()>(&ol::neg)));
+    ::testing::Values(OpCase{"tanh", &ol::tanhOp},
+                      OpCase{"sigmoid", &ol::sigmoidOp},
+                      OpCase{"relu", &ol::reluOp}, OpCase{"neg", &ol::neg}));
 
 class GemmGrad
     : public ::testing::TestWithParam<std::tuple<bool, bool>>

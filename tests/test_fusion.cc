@@ -45,33 +45,41 @@ namespace ol = graph::oplib;
 using graph::Graph;
 using graph::Val;
 
-/** Set ECHO_FUSION for a scope and restore the old value on exit. */
-class FusionEnv
+/** Set ECHO_PASSES for a scope (nullptr: unset, i.e. the default
+ *  pipeline, which fuses) and restore the old value on exit. */
+class PassesEnv
 {
   public:
-    explicit FusionEnv(const char *value)
+    explicit PassesEnv(const char *spec)
     {
-        const char *old = std::getenv("ECHO_FUSION");
+        const char *old = std::getenv("ECHO_PASSES");
         had_old_ = old != nullptr;
         if (had_old_)
             old_ = old;
-        if (value == nullptr)
-            unsetenv("ECHO_FUSION");
+        if (spec == nullptr)
+            unsetenv("ECHO_PASSES");
         else
-            setenv("ECHO_FUSION", value, 1);
+            setenv("ECHO_PASSES", spec, 1);
     }
-    ~FusionEnv()
+    ~PassesEnv()
     {
         if (had_old_)
-            setenv("ECHO_FUSION", old_.c_str(), 1);
+            setenv("ECHO_PASSES", old_.c_str(), 1);
         else
-            unsetenv("ECHO_FUSION");
+            unsetenv("ECHO_PASSES");
     }
 
   private:
     bool had_old_ = false;
     std::string old_;
 };
+
+/** Training pipeline without fusion; the default adds it. */
+constexpr const char *kUnfusedTraining = "autodiff";
+/** Inference pipeline without fusion (step decoders). */
+constexpr const char *kUnfusedInference = "none";
+/** The default pipeline for the model kind (fusion included). */
+constexpr const char *kDefaultPipeline = nullptr;
 
 bool
 bytesEqual(const Tensor &a, const Tensor &b)
@@ -178,7 +186,7 @@ TEST(Fusion, FetchedAndExternallyConsumedValuesStayMaterialized)
 
 TEST(Fusion, GroupsNeverSpanPhasesOrTimeSteps)
 {
-    FusionEnv env("0"); // fuse explicitly below, after autodiff
+    PassesEnv env(kUnfusedTraining); // fuse explicitly below
     models::WordLmModel model(smallConfig());
     const FusionResult r =
         runFusionPass(model.graph(), model.fetches());
@@ -196,13 +204,15 @@ TEST(Fusion, WordLmTrainingByteIdenticalAcrossThreads)
     const models::WordLmConfig cfg = smallConfig();
     std::unique_ptr<models::WordLmModel> unfused, fused;
     {
-        FusionEnv env("0");
+        PassesEnv env(kUnfusedTraining);
         unfused = std::make_unique<models::WordLmModel>(cfg);
     }
     {
-        FusionEnv env("1");
+        PassesEnv env(kDefaultPipeline);
         fused = std::make_unique<models::WordLmModel>(cfg);
     }
+    EXPECT_EQ(unfused->pipelineSpec(), "autodiff");
+    EXPECT_EQ(unfused->fusionResult().num_groups, 0);
     ASSERT_GT(fused->fusionResult().num_groups, 0);
 
     Rng rng(7);
@@ -240,11 +250,11 @@ TEST(Fusion, StepDecoderByteIdenticalFusedVsUnfused)
     models::WordLmConfig cfg = smallConfig();
     std::unique_ptr<models::WordLmStepper> unfused, fused;
     {
-        FusionEnv env("0");
+        PassesEnv env(kUnfusedInference);
         unfused = std::make_unique<models::WordLmStepper>(cfg, 3);
     }
     {
-        FusionEnv env("1");
+        PassesEnv env(kDefaultPipeline);
         fused = std::make_unique<models::WordLmStepper>(cfg, 3);
     }
 
@@ -273,7 +283,7 @@ TEST(Fusion, StepDecoderByteIdenticalFusedVsUnfused)
 
 TEST(Fusion, CountersAreDeterministicAcrossIdenticalBuilds)
 {
-    FusionEnv env("1");
+    PassesEnv env(kDefaultPipeline);
     auto counterValue = [](const std::string &name) {
         for (const obs::CounterSample &c : obs::snapshotCounters())
             if (c.name == name) {
@@ -341,14 +351,14 @@ TEST(Fusion, ShrinksTransientFootprint)
 
     int64_t integral_u, integral_f, peak_u, peak_f;
     {
-        FusionEnv env("0");
+        PassesEnv env(kUnfusedTraining);
         models::WordLmModel model(cfg);
         integral_u = transientIntegral(memory::analyzeLiveness(
             model.fetches(), model.weightGrads()));
         peak_u = poolPeakUnderRecompute(model);
     }
     {
-        FusionEnv env("1");
+        PassesEnv env(kDefaultPipeline);
         models::WordLmModel model(cfg);
         ASSERT_GT(model.fusionResult().bytes_elided, 0);
         integral_f = transientIntegral(memory::analyzeLiveness(
@@ -361,7 +371,7 @@ TEST(Fusion, ShrinksTransientFootprint)
 
 TEST(Fusion, AuditCleanOnWordLmAndCatchesTampering)
 {
-    FusionEnv env("1");
+    PassesEnv env(kDefaultPipeline);
     models::WordLmModel model(smallConfig());
     const FusionResult &r = model.fusionResult();
     ASSERT_GT(r.num_groups, 0);
@@ -425,7 +435,7 @@ TEST(Fusion, AuditCleanOnWordLmAndCatchesTampering)
 
 TEST(Fusion, RecomputePassRewritesAndAuditsCleanlyOnFusedGraph)
 {
-    FusionEnv env("1");
+    PassesEnv env(kDefaultPipeline);
     models::WordLmModel model(smallConfig());
     ASSERT_GT(model.fusionResult().num_groups, 0);
 
@@ -443,28 +453,6 @@ TEST(Fusion, RecomputePassRewritesAndAuditsCleanlyOnFusedGraph)
         snapshot, model.graph(), model.fetches(), model.weightGrads(),
         result));
     EXPECT_TRUE(report.ok()) << report.toString();
-}
-
-TEST(Fusion, EnvSwitchDisablesPass)
-{
-    {
-        FusionEnv env("0");
-        EXPECT_FALSE(fusionEnvEnabled());
-        Graph g;
-        const Val a = g.placeholder(Shape({2, 2}), "a");
-        const Val b =
-            g.apply1(ol::tanhOp(), {g.apply1(ol::sigmoidOp(), {a})});
-        EXPECT_EQ(fuseIfEnabled(g, {b}).num_groups, 0);
-        EXPECT_EQ(b.node->op->name(), "tanh");
-    }
-    {
-        FusionEnv env("1");
-        EXPECT_TRUE(fusionEnvEnabled());
-    }
-    {
-        FusionEnv env(nullptr); // unset = on by default
-        EXPECT_TRUE(fusionEnvEnabled());
-    }
 }
 
 } // namespace

@@ -10,7 +10,9 @@
  *  - the planner's recorded memory timeline replays consistently (no
  *    overlapping live allocations, peak equal to the plan's pool peak,
  *    pool peak never below the liveness lower bound),
- *  - analytic gradients match finite differences.
+ *  - analytic gradients match finite differences,
+ *  - the executor's parallel ready-queue dispatch matches serial
+ *    schedule order bit for bit at 1/2/4 threads.
  *
  * Seeds are reproducible: every failure message carries the seed and
  * the rerun recipe, and the seed set can be overridden with
@@ -36,10 +38,8 @@
 #include "echo/recompute_pass.h"
 #include "analysis/numeric_verify.h"
 #include "graph/autodiff.h"
-#include "analysis/tape_audit.h"
 #include "graph/executor.h"
 #include "graph/fusion.h"
-#include "graph/tape.h"
 #include "graph/ops/oplib.h"
 #include "memory/planner.h"
 #include "models/nmt.h"
@@ -517,38 +517,32 @@ TEST_P(PassFuzz, RandomBudgetsAlwaysFit)
     }
 }
 
-TEST_P(PassFuzz, TapeMatchesInterpreterBitForBit)
+TEST_P(PassFuzz, ParallelDispatchMatchesSerialBitForBit)
 {
     const uint64_t seed = GetParam();
     RandomModel model;
     model.build(seed, 24);
     const FeedDict feed = model.feed(seed * 41 + 11);
 
-    graph::Executor ex(model.fetches, graph::ExecMode::kSerial);
-    graph::Tape tape(model.fetches);
-    // The plan IS the allocator: arena sized to the pool peak exactly,
-    // and the record replay audits clean on any random graph.
-    ASSERT_EQ(tape.arenaBytes(), tape.plan().pool_peak_bytes)
-        << repro(seed);
-    const analysis::AnalysisReport audit = analysis::auditTape(tape);
-    ASSERT_TRUE(audit.ok()) << repro(seed) << "\n" << audit.toString();
-
+    const graph::Executor serial(model.fetches, graph::ExecMode::kSerial);
+    const graph::Executor parallel(model.fetches,
+                                   graph::ExecMode::kParallel);
+    ThreadPool::setGlobalNumThreads(1);
+    const auto ref = serial.run(feed);
     for (const int threads : {1, 2, 4}) {
         ThreadPool::setGlobalNumThreads(threads);
-        const auto ref = ex.run(feed);
-        tape.bindFeeds(feed);
-        for (const bool parallel : {false, true}) {
-            const auto out = tape.run(parallel);
+        for (const graph::Executor *ex : {&serial, &parallel}) {
+            const auto out = ex->run(feed);
             const analysis::VerifyResult vr =
                 analysis::compareFetches(out, ref);
             EXPECT_TRUE(vr.shapes_match)
                 << repro(seed) << " threads=" << threads
-                << " parallel=" << parallel;
-            // Loss AND every weight gradient, bit for bit: running
-            // from the arena may never change a single output bit.
+                << " parallel=" << (ex == &parallel);
+            // Loss AND every weight gradient, bit for bit: the ready
+            // queue's dispatch order may never change an output bit.
             EXPECT_EQ(vr.max_abs_diff, 0.0)
                 << repro(seed) << " threads=" << threads
-                << " parallel=" << parallel;
+                << " parallel=" << (ex == &parallel);
         }
     }
     ThreadPool::setGlobalNumThreads(ThreadPool::defaultNumThreads());

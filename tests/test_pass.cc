@@ -99,12 +99,19 @@ TEST(PassSpec, DefaultsPerPipelineKind)
 {
     EXPECT_EQ(defaultSpec(PipelineKind::kTraining), "autodiff,fusion");
     EXPECT_EQ(defaultSpec(PipelineKind::kInference), "fusion");
+    // With ECHO_PASSES unset, resolution is the default, presets
+    // expanded.
+    ScopedEnv passes("ECHO_PASSES", nullptr);
+    EXPECT_EQ(resolveSpec(PipelineKind::kTraining, ""), "autodiff,fusion");
+    EXPECT_EQ(resolveSpec(PipelineKind::kServeWordLm, ""),
+              "fusion,gemm_warm");
+    EXPECT_EQ(resolveSpec(PipelineKind::kServeNmt, ""),
+              "fusion,audit_fusion,gemm_warm");
 }
 
 TEST(PassSpec, ExplicitRequestWinsOverEnv)
 {
     ScopedEnv passes("ECHO_PASSES", "fusion");
-    ScopedEnv fus("ECHO_FUSION", "0");
     EXPECT_EQ(resolveSpec(PipelineKind::kTraining, "autodiff,recompute"),
               "autodiff,recompute");
 }
@@ -112,38 +119,8 @@ TEST(PassSpec, ExplicitRequestWinsOverEnv)
 TEST(PassSpec, EchoPassesEnvOverridesDefault)
 {
     ScopedEnv passes("ECHO_PASSES", "autodiff,recompute");
-    ScopedEnv fus("ECHO_FUSION", nullptr);
-    ScopedEnv ver("ECHO_VERIFY", nullptr);
     EXPECT_EQ(resolveSpec(PipelineKind::kTraining, ""),
               "autodiff,recompute");
-}
-
-TEST(PassSpec, DeprecatedFusionAliasRewritesDefault)
-{
-    ScopedEnv passes("ECHO_PASSES", nullptr);
-    ScopedEnv fus("ECHO_FUSION", "0");
-    ScopedEnv ver("ECHO_VERIFY", nullptr);
-    EXPECT_EQ(resolveSpec(PipelineKind::kTraining, ""), "autodiff");
-    // The inference default is fusion alone, so the alias empties it.
-    EXPECT_EQ(resolveSpec(PipelineKind::kInference, ""), "none");
-}
-
-TEST(PassSpec, DeprecatedVerifyAliasAppendsVerifyPass)
-{
-    ScopedEnv passes("ECHO_PASSES", nullptr);
-    ScopedEnv fus("ECHO_FUSION", nullptr);
-    ScopedEnv ver("ECHO_VERIFY", "1");
-    EXPECT_EQ(resolveSpec(PipelineKind::kTraining, ""),
-              "autodiff,fusion,verify");
-}
-
-TEST(PassSpec, BothAliasesCompose)
-{
-    ScopedEnv passes("ECHO_PASSES", nullptr);
-    ScopedEnv fus("ECHO_FUSION", "0");
-    ScopedEnv ver("ECHO_VERIFY", "1");
-    EXPECT_EQ(resolveSpec(PipelineKind::kTraining, ""),
-              "autodiff,verify");
 }
 
 TEST(PassRegistry, BuiltinsRegisteredUnknownsNot)

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <functional>
 #include <future>
 #include <thread>
 #include <vector>
@@ -722,66 +723,140 @@ differentialWorkload()
 }
 
 /**
- * The differential test the tentpole hangs on: the continuous
- * scheduler against the slots=1 run-to-completion server (a strictly
- * sequential reference — every micro-batch holds one request).
+ * Same-bucket interleaving on the NMT session: a long greedy request
+ * holds the bucket's continuous lane while several beam requests arrive
+ * and run on the direct path between its step passes.  Every direct
+ * encode shares the bucket's decoder with the lane, so any state the
+ * decoder hands back by reference must survive those encodes.
+ */
+std::vector<Request>
+interleavedNmtWorkload()
+{
+    std::vector<Request> reqs;
+    Request greedy = makeRequest({5, 9, 13, 4, 21, 2});
+    greedy.max_new_tokens = 32;
+    reqs.push_back(std::move(greedy));
+    const std::vector<std::vector<int64_t>> beam_prefixes = {
+        {7, 12, 3, 30}, {11, 13, 17}, {6, 7, 8, 9, 10}};
+    for (const std::vector<int64_t> &prefix : beam_prefixes) {
+        Request beam = makeRequest(prefix);
+        beam.max_new_tokens = 6;
+        beam.beam_width = 3;
+        reqs.push_back(std::move(beam));
+    }
+    return reqs;
+}
+
+/** One input of the differential test: a session kind, its workload,
+ *  and the arrival orders the continuous server is fed.  The first
+ *  @c lead requests of an order go in first; the rest follow once the
+ *  server has run a step pass, so they arrive mid-decode. */
+struct DifferentialCase
+{
+    const char *name;
+    std::function<std::unique_ptr<InferenceSession>(int slots)> session;
+    std::vector<Request> workload;
+    std::vector<std::vector<size_t>> orders;
+    size_t lead = 0;
+};
+
+/**
+ * The differential test the continuous scheduler hangs on: the
+ * continuous server against the slots=1 run-to-completion server (a
+ * strictly sequential reference — every micro-batch holds one request).
  * Payloads must be byte-identical for every request at thread counts
- * 1/2/4 and across arrival permutations.
+ * 1/2/4 and across arrival permutations, for word-LM traffic and for
+ * NMT beams interleaved with a running greedy lane.
  */
 TEST(ContinuousServer, DifferentialAgainstSequentialReference)
 {
-    const std::vector<Request> base = differentialWorkload();
-
-    // Reference: slots=1, legacy batcher, submitted one at a time.
-    std::vector<Response> ref;
-    {
-        SessionConfig scfg = smallSessionConfig();
-        scfg.slots = 1;
-        ServerConfig cfg;
-        cfg.scheduler = SchedulerKind::kDynamicBatch;
-        cfg.max_wait = std::chrono::microseconds(100);
-        Server server(std::make_unique<WordLmSession>(
-                          tinyLmConfig(), tinyLmParams(), scfg),
-                      cfg);
-        for (const Request &r : base)
-            ref.push_back(server.submit(Request(r)).get());
-        server.stop();
-        for (const Response &resp : ref)
-            ASSERT_TRUE(resp.ok);
-    }
-
-    const std::vector<std::vector<size_t>> orders = {
-        {0, 1, 2, 3, 4, 5, 6, 7}, // admission order
-        {7, 6, 5, 4, 3, 2, 1, 0}, // reversed
-        {4, 0, 6, 2, 7, 3, 5, 1}, // shuffled
+    const std::vector<DifferentialCase> cases = {
+        {"word_lm",
+         [](int slots) -> std::unique_ptr<InferenceSession> {
+             SessionConfig scfg = smallSessionConfig();
+             scfg.slots = slots;
+             return std::make_unique<WordLmSession>(
+                 tinyLmConfig(), tinyLmParams(), scfg);
+         },
+         differentialWorkload(),
+         {
+             {0, 1, 2, 3, 4, 5, 6, 7}, // admission order
+             {7, 6, 5, 4, 3, 2, 1, 0}, // reversed
+             {4, 0, 6, 2, 7, 3, 5, 1}, // shuffled
+         },
+         /*lead=*/0},
+        {"nmt_interleaved",
+         [](int slots) -> std::unique_ptr<InferenceSession> {
+             SessionConfig scfg = smallSessionConfig();
+             scfg.slots = slots;
+             return std::make_unique<NmtSession>(
+                 tinyNmtConfig(), tinyNmtParams(), scfg);
+         },
+         interleavedNmtWorkload(),
+         {
+             {0, 1, 2, 3}, // beams arrive while the greedy decodes
+             {0, 3, 2, 1},
+         },
+         /*lead=*/1},
     };
-    for (int threads : {1, 2, 4}) {
-        ThreadPool::setGlobalNumThreads(threads);
-        for (const std::vector<size_t> &order : orders) {
-            Server server(makeLmSession(), ServerConfig{});
-            std::vector<std::future<Response>> futures;
-            for (size_t idx : order)
-                futures.push_back(server.submit(Request(base[idx])));
-            for (size_t k = 0; k < order.size(); ++k) {
-                const Response resp = futures[k].get();
-                const Response &expect = ref[order[k]];
-                ASSERT_TRUE(resp.ok)
-                    << "threads=" << threads << " k=" << k;
-                EXPECT_EQ(resp.tokens, expect.tokens)
-                    << "threads=" << threads << " base=" << order[k];
-                EXPECT_EQ(resp.scores, expect.scores)
-                    << "threads=" << threads << " base=" << order[k];
-            }
+
+    for (const DifferentialCase &c : cases) {
+        const std::vector<Request> &base = c.workload;
+
+        // Reference: slots=1, legacy batcher, submitted one at a time.
+        std::vector<Response> ref;
+        {
+            ServerConfig cfg;
+            cfg.scheduler = SchedulerKind::kDynamicBatch;
+            cfg.max_wait = std::chrono::microseconds(100);
+            Server server(c.session(1), cfg);
+            for (const Request &r : base)
+                ref.push_back(server.submit(Request(r)).get());
             server.stop();
-            const ServerStats stats = server.stats();
-            EXPECT_EQ(stats.completed, 8);
-            EXPECT_EQ(stats.wait_count, stats.completed);
-            // The journal must audit clean: exclusive leases,
-            // re-initialized state, exactly-once termination.
-            const analysis::AnalysisReport report =
-                analysis::auditSlotRecycling(server.leaseJournal(),
-                                             server.journalSlots());
-            EXPECT_TRUE(report.ok()) << report.toString();
+            for (const Response &resp : ref)
+                ASSERT_TRUE(resp.ok) << c.name;
+        }
+
+        for (int threads : {1, 2, 4}) {
+            ThreadPool::setGlobalNumThreads(threads);
+            for (const std::vector<size_t> &order : c.orders) {
+                Server server(c.session(smallSessionConfig().slots),
+                              ServerConfig{});
+                std::vector<std::future<Response>> futures;
+                for (size_t k = 0; k < order.size(); ++k) {
+                    if (k == c.lead && k > 0) {
+                        while (server.stats().batches == 0)
+                            std::this_thread::yield();
+                    }
+                    futures.push_back(
+                        server.submit(Request(base[order[k]])));
+                }
+                for (size_t k = 0; k < order.size(); ++k) {
+                    const Response resp = futures[k].get();
+                    const Response &expect = ref[order[k]];
+                    ASSERT_TRUE(resp.ok) << c.name << " threads="
+                                         << threads << " k=" << k;
+                    EXPECT_EQ(resp.tokens, expect.tokens)
+                        << c.name << " threads=" << threads
+                        << " base=" << order[k];
+                    EXPECT_EQ(resp.scores, expect.scores)
+                        << c.name << " threads=" << threads
+                        << " base=" << order[k];
+                }
+                server.stop();
+                const ServerStats stats = server.stats();
+                EXPECT_EQ(stats.completed,
+                          static_cast<int64_t>(order.size()))
+                    << c.name;
+                EXPECT_EQ(stats.wait_count, stats.completed) << c.name;
+                // The journal must audit clean: exclusive leases,
+                // re-initialized state, exactly-once termination.
+                const analysis::AnalysisReport report =
+                    analysis::auditSlotRecycling(server.leaseJournal(),
+                                                 server.journalSlots());
+                EXPECT_TRUE(report.ok()) << c.name << "\n"
+                                         << report.toString();
+            }
         }
     }
     ThreadPool::setGlobalNumThreads(ThreadPool::defaultNumThreads());

@@ -2,16 +2,24 @@
  * @file
  * Tests for the tensor library: shapes, storage semantics, and every op
  * against hand-computed or reference results, including TEST_P sweeps
- * over GEMM transpose combinations.
+ * over GEMM transpose combinations; plus the persistent packed-weight
+ * cache (hits, version-bump invalidation, address reuse, a training
+ * iteration's pack set) and the PackScratch shrink policy.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
 #include "core/rng.h"
 #include "core/thread_pool.h"
+#include "data/batcher.h"
+#include "graph/executor.h"
+#include "models/word_lm.h"
 #include "tensor/ops.h"
+#include "tensor/pack_cache.h"
+#include "tensor/pack_scratch.h"
 #include "tensor/tensor.h"
 
 namespace echo {
@@ -487,6 +495,170 @@ TEST(Elementwise, BitIdenticalAcrossThreadCounts)
                                   sizeof(float)),
                   0)
             << "kernel " << i;
+    }
+}
+
+// ---------------------------------------------------------------------
+// Persistent packed-weight cache
+// ---------------------------------------------------------------------
+
+TEST(PackCache, SecondLookupHitsAndVersionBumpInvalidates)
+{
+    ops::clearPackCacheForTest();
+    const int64_t k = 8, n = 16;
+    Tensor b(Shape({k, n}));
+    std::fill(b.data(), b.data() + b.numel(), 3.0f);
+    ops::registerPackableTensor(b);
+    const ops::GemmSchedule sch = ops::GemmSchedule::fixedDefault();
+
+    ops::PackCacheStats s0 = ops::packCacheStats();
+    ops::CachedPackHold hold;
+    const ops::CachedPack p1 =
+        ops::lookupPackedB(b, false, k, n, sch, hold);
+    ASSERT_TRUE(p1);
+    EXPECT_EQ(p1.data[p1.offsets[0]], 3.0f);
+    ops::PackCacheStats s1 = ops::packCacheStats();
+    EXPECT_EQ(s1.misses, s0.misses + 1);
+
+    // Steady state: same operand, same schedule -> pure hits.
+    for (int i = 0; i < 3; ++i) {
+        ops::CachedPackHold h2;
+        EXPECT_TRUE(ops::lookupPackedB(b, false, k, n, sch, h2));
+    }
+    ops::PackCacheStats s2 = ops::packCacheStats();
+    EXPECT_EQ(s2.misses, s1.misses);
+    EXPECT_EQ(s2.hits, s1.hits + 3);
+
+    // In-place update + version bump: old packs dropped, the next
+    // lookup rebuilds from the new contents.
+    std::fill(b.data(), b.data() + b.numel(), 7.0f);
+    ops::bumpTensorVersion(b);
+    ops::PackCacheStats s3 = ops::packCacheStats();
+    EXPECT_GT(s3.invalidations, s2.invalidations);
+    ops::CachedPackHold h3;
+    const ops::CachedPack p2 =
+        ops::lookupPackedB(b, false, k, n, sch, h3);
+    ASSERT_TRUE(p2);
+    EXPECT_EQ(p2.data[p2.offsets[0]], 7.0f);
+    ops::clearPackCacheForTest();
+}
+
+TEST(PackCache, AddressReuseAfterFreeNeverServesStalePanels)
+{
+    // The dead-store scenario: register a tensor, cache its pack, let
+    // the tensor die, then register a NEW tensor (which frequently
+    // lands on the same heap address).  The cache must rebuild from
+    // the new bytes — never serve the dead tensor's panels.
+    ops::clearPackCacheForTest();
+    const int64_t k = 8, n = 16;
+    const ops::GemmSchedule sch = ops::GemmSchedule::fixedDefault();
+    {
+        Tensor dead(Shape({k, n}));
+        std::fill(dead.data(), dead.data() + dead.numel(), 1.0f);
+        ops::registerPackableTensor(dead);
+        ops::CachedPackHold hold;
+        ASSERT_TRUE(ops::lookupPackedB(dead, false, k, n, sch, hold));
+    }
+    Tensor fresh(Shape({k, n}));
+    std::fill(fresh.data(), fresh.data() + fresh.numel(), 2.0f);
+    ops::registerPackableTensor(fresh);
+    ops::CachedPackHold hold;
+    const ops::CachedPack p =
+        ops::lookupPackedB(fresh, false, k, n, sch, hold);
+    ASSERT_TRUE(p);
+    EXPECT_EQ(p.data[p.offsets[0]], 2.0f);
+    ops::clearPackCacheForTest();
+}
+
+TEST(PackCache, SteadyStateTrainingIterationHitsEveryPack)
+{
+    // After the first (warm) iteration every weight pack must be
+    // served from the cache: zero further misses.
+    ops::clearPackCacheForTest();
+    models::WordLmConfig cfg;
+    cfg.vocab = 50;
+    cfg.hidden = 8;
+    cfg.layers = 2;
+    cfg.batch = 4;
+    cfg.seq_len = 6;
+    models::WordLmModel model(cfg);
+    Rng rng(17);
+    models::ParamStore params = model.initialParams(rng);
+    data::CorpusConfig corpus_cfg;
+    corpus_cfg.vocab = data::Vocab{50};
+    corpus_cfg.num_tokens = 2000;
+    corpus_cfg.seed = 3;
+    const data::Corpus corpus = data::Corpus::generate(corpus_cfg);
+    data::LmBatcher batcher(corpus, 4, 6);
+    const graph::FeedDict feed = model.makeFeed(params, batcher.next());
+
+    ThreadPool::setGlobalNumThreads(1);
+    graph::Executor ex(model.fetches(), graph::ExecMode::kSerial);
+    (void)ex.run(feed); // warm: builds every pack once
+    const ops::PackCacheStats warm = ops::packCacheStats();
+    (void)ex.run(feed);
+    (void)ex.run(feed);
+    const ops::PackCacheStats steady = ops::packCacheStats();
+    EXPECT_EQ(steady.misses, warm.misses);
+    EXPECT_GT(steady.hits, warm.hits);
+    ThreadPool::setGlobalNumThreads(ThreadPool::defaultNumThreads());
+    ops::clearPackCacheForTest();
+}
+
+// ---------------------------------------------------------------------
+// PackScratch shrink policy
+// ---------------------------------------------------------------------
+
+TEST(PackScratch, ShrinksAfterSustainedOversizedStreak)
+{
+    ops::PackScratch s;
+    ASSERT_NE(s.acquire(1 << 16), nullptr);
+    EXPECT_GE(s.capacityElems(), size_t(1) << 16);
+    // A sustained run of small acquires (oversized by > kShrinkFactor)
+    // must release the high-water buffer.
+    for (int i = 0; i < ops::PackScratch::kShrinkStreak; ++i)
+        ASSERT_NE(s.acquire(64), nullptr);
+    EXPECT_LT(s.capacityElems(), (size_t(1) << 16) /
+                                     ops::PackScratch::kShrinkFactor);
+}
+
+TEST(PackScratch, AlternatingShapesDoNotThrash)
+{
+    ops::PackScratch s;
+    ASSERT_NE(s.acquire(1 << 14), nullptr);
+    const size_t big_cap = s.capacityElems();
+    // Alternating small/large requests keep resetting the oversized
+    // streak, so the big buffer is retained (no realloc churn).
+    for (int i = 0; i < 4 * ops::PackScratch::kShrinkStreak; ++i) {
+        ASSERT_NE(s.acquire(16), nullptr);
+        ASSERT_NE(s.acquire(1 << 14), nullptr);
+    }
+    EXPECT_EQ(s.capacityElems(), big_cap);
+}
+
+TEST(PackScratch, PeriodicBurstSettlesAtHighWater)
+{
+    // A training iteration's pack pattern: a long run of small packs,
+    // then a burst the streak window cannot see (the smalls outnumber
+    // the streak requirement).  A fixed streak shrinks and regrows
+    // every period; the adaptive backoff must instead settle at the
+    // burst size after a bounded number of wasted cycles.
+    ops::PackScratch s;
+    auto period = [&s] {
+        for (int i = 0; i < 2 * ops::PackScratch::kShrinkStreak; ++i)
+            ASSERT_NE(s.acquire(64), nullptr);
+        ASSERT_NE(s.acquire(1 << 15), nullptr);
+    };
+    // Let the policy learn (each premature shrink doubles the window;
+    // log2(kShrinkStreakMax / kShrinkStreak) cycles suffice).
+    for (int cycle = 0; cycle < 12; ++cycle)
+        period();
+    // Steady state: capacity pinned at the burst size, no reallocs.
+    const size_t settled = s.capacityElems();
+    EXPECT_GE(settled, size_t(1) << 15);
+    for (int cycle = 0; cycle < 4; ++cycle) {
+        period();
+        EXPECT_EQ(s.capacityElems(), settled);
     }
 }
 

@@ -17,15 +17,7 @@
  * live requests may ever share a (pool, slot) row.  This mode replaces
  * the graph lints; exit status is 0 when the journal is clean.
  *
- * A third mode audits compiled execution tapes: --tape compiles each
- * model's training schedule into a graph::Tape (the planner-addressed
- * steady-state form, graph/tape.h) and replays its records against the
- * liveness analyzer — arena sized to the planned peak byte for byte,
- * every transient at its planned offset, no overlapping live buffers,
- * no leaks, high-water equal to pool_peak_bytes.  Exit status is the
- * number of tapes with errors.
- *
- * A fourth mode replays an arbitrary pass pipeline under the contract
+ * A third mode replays an arbitrary pass pipeline under the contract
  * checker: --pipeline=SPEC (comma-separated pass names, or "default"
  * for the resolved training spec) statically validates the pipeline's
  * declared contracts first — an illegal ordering prints each contract
@@ -39,7 +31,6 @@
  * usage: echo-lint [--model=word_lm|nmt|all] [--policy=off|auto|all]
  *                  [--dot=PATH]
  *        echo-lint --serve-journal=PATH [--serve-slots=N]
- *        echo-lint --tape [--model=word_lm|nmt|all]
  *        echo-lint --pipeline=SPEC [--model=...] [--inject=bad-shape]
  */
 #include <cstring>
@@ -52,9 +43,7 @@
 
 #include "analysis/analysis.h"
 #include "analysis/hazards.h"
-#include "analysis/tape_audit.h"
 #include "budget/planner.h"
-#include "graph/tape.h"
 #include "echo/recompute_pass.h"
 #include "memory/liveness.h"
 #include "memory/planner.h"
@@ -75,7 +64,6 @@ struct LintOptions
     int serve_slots = 8;
     std::string pipeline;       // empty = no pipeline replay
     std::string inject;         // "" | "bad-shape"
-    bool tape = false;          // compile + audit execution tapes
     int64_t budget_bytes = 0;   // >0: lint the transient pool peak too
 };
 
@@ -280,69 +268,6 @@ lintServeJournal(const LintOptions &opts)
     return report.ok() ? 0 : 1;
 }
 
-/**
- * Compile one model's full training schedule (fetches + weight grads)
- * into an execution tape and replay it against the liveness analyzer.
- */
-int
-lintOneTape(const std::vector<graph::Val> &fetches,
-            const std::vector<graph::Val> &weight_grads,
-            const std::string &title)
-{
-    std::vector<graph::Val> all = fetches;
-    all.insert(all.end(), weight_grads.begin(), weight_grads.end());
-    const graph::Tape tape(all);
-    std::cout << "== " << title << " tape ("
-              << tape.records().size() << " records, arena "
-              << tape.arenaBytes() << " B, persistent "
-              << tape.persistentBytes() << " B): ";
-    const analysis::AnalysisReport report = analysis::auditTape(tape);
-    if (report.diagnostics.empty()) {
-        std::cout << "clean\n";
-        return 0;
-    }
-    std::cout << report.errorCount() << " error(s), "
-              << report.warningCount() << " warning(s)\n"
-              << report.toString();
-    return report.ok() ? 0 : 1;
-}
-
-int
-lintTapes(const LintOptions &opts)
-{
-    int failures = 0;
-    if (opts.model == "word_lm" || opts.model == "all") {
-        models::WordLmConfig cfg;
-        cfg.vocab = 120;
-        cfg.hidden = 16;
-        cfg.layers = 2;
-        cfg.batch = 4;
-        cfg.seq_len = 10;
-        models::WordLmModel model(cfg);
-        failures += lintOneTape(model.fetches(), model.weightGrads(),
-                                "word_lm");
-    }
-    if (opts.model == "nmt" || opts.model == "all") {
-        models::NmtConfig cfg;
-        cfg.src_vocab = 60;
-        cfg.tgt_vocab = 70;
-        cfg.hidden = 16;
-        cfg.enc_layers = 1;
-        cfg.batch = 3;
-        cfg.src_len = 8;
-        cfg.tgt_len = 8;
-        models::NmtModel model(cfg);
-        failures += lintOneTape(model.fetches(), model.weightGrads(),
-                                "nmt");
-    }
-    if (failures == 0)
-        std::cout << "echo-lint: all tapes clean\n";
-    else
-        std::cout << "echo-lint: " << failures
-                  << " tape(s) with errors\n";
-    return failures;
-}
-
 /** The injected mutation pass: declares a clean contract but corrupts
  *  a reachable node's output shape, so the graph verifier's
  *  postcondition audit must catch it (the mutation-test leg). */
@@ -475,8 +400,6 @@ parseArgs(int argc, char **argv, LintOptions &opts)
             opts.serve_journal = arg.substr(16);
         } else if (arg.rfind("--serve-slots=", 0) == 0) {
             opts.serve_slots = std::stoi(arg.substr(14));
-        } else if (arg == "--tape") {
-            opts.tape = true;
         } else if (arg.rfind("--pipeline=", 0) == 0) {
             opts.pipeline = arg.substr(11);
         } else if (arg.rfind("--inject=", 0) == 0) {
@@ -495,8 +418,6 @@ parseArgs(int argc, char **argv, LintOptions &opts)
                          "[--budget=BYTES]\n"
                          "       echo-lint --serve-journal=PATH "
                          "[--serve-slots=N]\n"
-                         "       echo-lint --tape "
-                         "[--model=word_lm|nmt|all]\n"
                          "       echo-lint --pipeline=SPEC "
                          "[--model=...] [--inject=bad-shape]\n";
             return false;
@@ -532,8 +453,6 @@ main(int argc, char **argv)
 
     if (!opts.serve_journal.empty())
         return lintServeJournal(opts);
-    if (opts.tape)
-        return lintTapes(opts);
     if (!opts.pipeline.empty())
         return lintPipelines(opts);
 

@@ -15,18 +15,10 @@
  * Exit status: 0 when every requested solve was feasible, 1 when any
  * was infeasible, 2 on usage errors — so CI can gate on a budget.
  *
- * --tape=on routes the planner's replay-time measurements through the
- * compiled execution tape (graph/tape.h) instead of the interpreting
- * executor, so the reported replay costs reflect steady-state
- * (arena-backed, zero-allocation) execution.  Latched process-wide
- * before the first run (it sets ECHO_TAPE).
- *
  * usage: echo-plan --budget=BYTES|--budget-fraction=F
  *                  [--model=word_lm|nmt] [--solver=greedy|dp|lagrange|all]
- *                  [--tape=on|off]
  */
 #include <cmath>
-#include <cstdlib>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -120,14 +112,6 @@ parseArgs(int argc, char **argv, PlanOptions &opts)
             }
         } else if (arg == "--verbose") {
             opts.verbose = true;
-        } else if (arg.rfind("--tape=", 0) == 0) {
-            const std::string mode = arg.substr(7);
-            if (mode != "on" && mode != "off") {
-                std::cerr << "echo-plan: --tape must be 'on' or 'off'\n";
-                return false;
-            }
-            // Latched by the executor before the first run.
-            setenv("ECHO_TAPE", mode.c_str(), 1);
         } else if (arg.rfind("--budget-fraction=", 0) == 0) {
             try {
                 opts.budget_fraction = std::stod(arg.substr(18));
@@ -145,8 +129,7 @@ parseArgs(int argc, char **argv, PlanOptions &opts)
                 << "echo-plan: unknown argument " << arg << "\n"
                 << "usage: echo-plan --budget=BYTES|--budget-fraction=F\n"
                    "                 [--model=word_lm|nmt]\n"
-                   "                 [--solver=greedy|dp|lagrange|all]\n"
-                   "                 [--tape=on|off]\n";
+                   "                 [--solver=greedy|dp|lagrange|all]\n";
             return false;
         }
     }

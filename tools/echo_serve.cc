@@ -28,21 +28,12 @@
  * (cancelled requests count as expected when a cancel was asked for),
  * 1 otherwise, 2 on usage errors.
  *
- * --tape=on routes every decode step through the compiled execution
- * tape (graph/tape.h): sessions replay planner-addressed records from
- * a fixed arena instead of interpreting the schedule, with packed
- * weights pre-registered at checkpoint load.  The switch is latched
- * process-wide before the first run (it sets ECHO_TAPE), so it applies
- * to every session of this server.
- *
  * usage: echo-serve --ckpt=PATH[,PATH...] [--requests=FILE] [--slots=N]
  *                   [--buckets=8,16,32] [--beam=K] [--max-new=N]
  *                   [--queue=N] [--max-wait-us=N] [--threads=N]
  *                   [--scheduler=continuous|batch] [--journal=PATH]
- *                   [--tape=on|off]
  */
 #include <chrono>
-#include <cstdlib>
 #include <fstream>
 #include <future>
 #include <iostream>
@@ -123,16 +114,6 @@ parseArgs(int argc, char **argv, ServeOptions &opts)
                 std::chrono::microseconds(std::stoll(arg.substr(14)));
         } else if (arg.rfind("--threads=", 0) == 0) {
             opts.threads = std::stoi(arg.substr(10));
-        } else if (arg.rfind("--tape=", 0) == 0) {
-            const std::string mode = arg.substr(7);
-            if (mode != "on" && mode != "off") {
-                std::cerr << "echo-serve: --tape must be 'on' or "
-                             "'off'\n";
-                return false;
-            }
-            // Latched by the executor before the first run; set it now
-            // so every session compiles (or skips) its tape.
-            setenv("ECHO_TAPE", mode.c_str(), 1);
         } else if (arg.rfind("--scheduler=", 0) == 0) {
             const std::string kind = arg.substr(12);
             if (kind == "continuous") {

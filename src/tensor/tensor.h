@@ -68,7 +68,11 @@ class Tensor
      */
     const std::shared_ptr<void> &storageOwner() const { return storage_; }
 
-    /** Element access by flat index. */
+    /**
+     * Element access by flat index, bounds-checked on every call.  For
+     * cold paths and tests: a per-element loop checks shapes once and
+     * then indexes data().
+     */
     float &at(int64_t i);
     float at(int64_t i) const;
 

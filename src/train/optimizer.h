@@ -27,6 +27,9 @@ class Optimizer
 
     /**
      * Apply @p grads (aligned with @p weights' order) to @p params.
+     * Each gradient, and any state kept from an earlier step, must have
+     * its parameter's shape; a mismatch is fatal and names the
+     * parameter.
      * @return the global gradient norm before clipping.
      */
     virtual double step(ParamStore &params, const NamedWeights &weights,
@@ -70,7 +73,13 @@ class AdamOptimizer : public Optimizer
     std::map<std::string, Tensor> v_;
 };
 
-/** Global L2 norm across a gradient list. */
+/**
+ * Global L2 norm across a gradient list.  Squares are summed in one
+ * fixed sequential `double` order (tensor by tensor, element by
+ * element), never split across threads or reassociated: that order is
+ * part of the byte-identity contract that makes a training step
+ * identical at every thread count.
+ */
 double globalNorm(const std::vector<Tensor> &grads);
 
 } // namespace echo::train

@@ -8,7 +8,10 @@
 
 #include <cmath>
 #include <cstring>
+#include <map>
+#include <string>
 
+#include "core/rng.h"
 #include "core/thread_pool.h"
 #include "data/batcher.h"
 #include "graph/executor.h"
@@ -135,6 +138,188 @@ TEST(Optimizer, GlobalNormAggregates)
     std::vector<Tensor> grads = {Tensor(Shape({2}), {3.0f, 0.0f}),
                                  Tensor(Shape({1}), {4.0f})};
     EXPECT_NEAR(globalNorm(grads), 5.0, 1e-9);
+}
+
+// Reference optimizers: the same arithmetic element by element through
+// the bounds-checked at().  The production loops index raw storage;
+// StepsMatchReferenceBitForBit holds them to these bits.
+double
+referenceGlobalNorm(const std::vector<Tensor> &grads)
+{
+    double sum_sq = 0.0;
+    for (const Tensor &g : grads)
+        for (int64_t i = 0; i < g.numel(); ++i)
+            sum_sq += static_cast<double>(g.at(i)) * g.at(i);
+    return std::sqrt(sum_sq);
+}
+
+struct ReferenceSgd
+{
+    double lr_, momentum_, clip_norm_;
+    std::map<std::string, Tensor> velocity_;
+
+    double
+    step(ParamStore &params, const NamedWeights &weights,
+         const std::vector<Tensor> &grads)
+    {
+        const double norm = referenceGlobalNorm(grads);
+        const double scale =
+            clip_norm_ > 0.0 && norm > clip_norm_ ? clip_norm_ / norm
+                                                  : 1.0;
+        for (size_t i = 0; i < weights.size(); ++i) {
+            const std::string &name = weights[i].first;
+            Tensor &param = params.at(name);
+            const Tensor &grad = grads[i];
+            Tensor &vel =
+                velocity_.try_emplace(name, Tensor::zeros(param.shape()))
+                    .first->second;
+            for (int64_t j = 0; j < param.numel(); ++j) {
+                const float g = static_cast<float>(scale) * grad.at(j);
+                vel.at(j) = static_cast<float>(momentum_) * vel.at(j) + g;
+                param.at(j) -= static_cast<float>(lr_) * vel.at(j);
+            }
+        }
+        return norm;
+    }
+};
+
+struct ReferenceAdam
+{
+    double lr_, beta1_, beta2_, eps_, clip_norm_;
+    int64_t t_ = 0;
+    std::map<std::string, Tensor> m_, v_;
+
+    double
+    step(ParamStore &params, const NamedWeights &weights,
+         const std::vector<Tensor> &grads)
+    {
+        const double norm = referenceGlobalNorm(grads);
+        const double scale =
+            clip_norm_ > 0.0 && norm > clip_norm_ ? clip_norm_ / norm
+                                                  : 1.0;
+        ++t_;
+        const double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
+        const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
+        for (size_t i = 0; i < weights.size(); ++i) {
+            const std::string &name = weights[i].first;
+            Tensor &param = params.at(name);
+            const Tensor &grad = grads[i];
+            Tensor &m = m_.try_emplace(name, Tensor::zeros(param.shape()))
+                            .first->second;
+            Tensor &v = v_.try_emplace(name, Tensor::zeros(param.shape()))
+                            .first->second;
+            for (int64_t j = 0; j < param.numel(); ++j) {
+                const double g = scale * static_cast<double>(grad.at(j));
+                m.at(j) = static_cast<float>(beta1_ * m.at(j) +
+                                             (1.0 - beta1_) * g);
+                v.at(j) = static_cast<float>(beta2_ * v.at(j) +
+                                             (1.0 - beta2_) * g * g);
+                const double m_hat = m.at(j) / bc1;
+                const double v_hat = v.at(j) / bc2;
+                param.at(j) -= static_cast<float>(
+                    lr_ * m_hat / (std::sqrt(v_hat) + eps_));
+            }
+        }
+        return norm;
+    }
+};
+
+TEST(Optimizer, StepsMatchReferenceBitForBit)
+{
+    // Ranks 1-3; 105 and 37 elements are not multiples of 16 (vector
+    // remainders), and 640x625 = 400,000 elements is LM-sized.
+    const std::vector<Shape> shapes = {Shape({37}), Shape({16, 24}),
+                                       Shape({3, 5, 7}),
+                                       Shape({640, 625})};
+    graph::Graph g;
+    models::NamedWeights weights;
+    ParamStore init;
+    Rng rng(7);
+    for (size_t i = 0; i < shapes.size(); ++i) {
+        const std::string name = "w" + std::to_string(i);
+        weights.emplace_back(name, g.weight(shapes[i], name));
+        init[name] = Tensor::gaussian(shapes[i], rng, 0.0f, 0.5f);
+    }
+    const double clip = 5.0;
+
+    auto run = [&](auto &opt, auto &ref, const char *label) {
+        ParamStore got, want;
+        for (const auto &[name, t] : init) {
+            got[name] = t.clone();
+            want[name] = t.clone();
+        }
+        Rng grad_rng(11);
+        for (int step = 0; step < 8; ++step) {
+            // Even steps: norm ~600, clipped to 5.  Odd: ~0.06, not.
+            const bool clipped = step % 2 == 0;
+            std::vector<Tensor> grads;
+            for (const Shape &s : shapes)
+                grads.push_back(Tensor::gaussian(s, grad_rng, 0.0f,
+                                                 clipped ? 1.0f : 1e-4f));
+            const double n_got = opt.step(got, weights, grads);
+            const double n_want = ref.step(want, weights, grads);
+            EXPECT_EQ(n_got > clip, clipped) << label << " step " << step;
+            EXPECT_EQ(std::memcmp(&n_got, &n_want, sizeof(double)), 0)
+                << label << " norm bits differ at step " << step;
+            for (const auto &[name, t] : want)
+                ASSERT_EQ(std::memcmp(got.at(name).data(), t.data(),
+                                      static_cast<size_t>(t.numel()) *
+                                          sizeof(float)),
+                          0)
+                    << label << " " << name << " differs at step " << step;
+        }
+    };
+
+    for (const double momentum : {0.0, 0.9}) {
+        SgdOptimizer sgd(0.05, momentum, clip);
+        ReferenceSgd ref{0.05, momentum, clip, {}};
+        run(sgd, ref, momentum == 0.0 ? "sgd" : "sgd+momentum");
+    }
+    AdamOptimizer adam(0.01, 0.9, 0.999, 1e-8, clip);
+    ReferenceAdam ref{0.01, 0.9, 0.999, 1e-8, clip, 0, {}, {}};
+    run(adam, ref, "adam");
+}
+
+// One step of @p opt on a single parameter "w" of @p param_shape with a
+// gradient of @p grad_shape.
+template <typename Opt>
+void
+stepOnce(Opt &opt, const Shape &param_shape, const Shape &grad_shape)
+{
+    graph::Graph g;
+    models::NamedWeights weights;
+    weights.emplace_back("w", g.weight(param_shape, "w"));
+    ParamStore params;
+    params["w"] = Tensor::zeros(param_shape);
+    opt.step(params, weights, {Tensor::full(grad_shape, 1.0f)});
+}
+
+TEST(Optimizer, RejectsGradientOfWrongShape)
+{
+    // Longer than the parameter (once truncated silently) and shorter
+    // (once an anonymous out-of-range panic mid-step).
+    for (const Shape &grad : {Shape({5}), Shape({3})}) {
+        SgdOptimizer sgd(0.1);
+        EXPECT_DEATH(stepOnce(sgd, Shape({4}), grad),
+                     "gradient for parameter 'w'");
+        AdamOptimizer adam(0.1);
+        EXPECT_DEATH(stepOnce(adam, Shape({4}), grad),
+                     "gradient for parameter 'w'");
+    }
+}
+
+TEST(Optimizer, RejectsStateFromDifferentlyShapedParams)
+{
+    // The optimizer first steps a 4-element "w", then is handed a
+    // ParamStore whose "w" has 6 elements: its kept state no longer fits.
+    SgdOptimizer sgd(0.1);
+    stepOnce(sgd, Shape({4}), Shape({4}));
+    EXPECT_DEATH(stepOnce(sgd, Shape({6}), Shape({6})),
+                 "SGD velocity for parameter 'w'");
+    AdamOptimizer adam(0.1);
+    stepOnce(adam, Shape({4}), Shape({4}));
+    EXPECT_DEATH(stepOnce(adam, Shape({6}), Shape({6})),
+                 "Adam first moment for parameter 'w'");
 }
 
 TEST(Trainer, WordLmLossDecreases)

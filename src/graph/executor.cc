@@ -1,8 +1,10 @@
 #include "graph/executor.h"
 
+#include <algorithm>
 #include <condition_variable>
 #include <deque>
 #include <exception>
+#include <memory>
 #include <mutex>
 
 #include "core/logging.h"
@@ -17,9 +19,10 @@ namespace echo::graph {
 namespace {
 
 /**
- * kAuto refuses to parallelize schedules below this size: the ready
- * queue costs one pool hand-off per node, which only pays off once
- * there are enough nodes for independent work to overlap.
+ * kAuto refuses to parallelize schedules below this size: a parallel
+ * run costs one pool hand-off per thread plus a lock round trip per
+ * node, which only pays off once there are enough nodes for
+ * independent work to overlap.
  */
 constexpr size_t kMinParallelNodes = 16;
 
@@ -32,6 +35,20 @@ countOp(const Node *node)
     c_ops.add(1);
     if (node->phase == Phase::kRecompute)
         c_replays.add(1);
+}
+
+/** Panics unless @p outputs match the node's inferred output shapes. */
+void
+checkOutputs(const Node *node, const std::vector<Tensor> &outputs)
+{
+    for (int i = 0; i < node->numOutputs(); ++i) {
+        const Tensor &out = outputs[static_cast<size_t>(i)];
+        ECHO_CHECK(out.defined() &&
+                       out.shape() ==
+                           node->out_shapes[static_cast<size_t>(i)],
+                   "op ", node->op->name(), " produced output ", i,
+                   " with wrong shape");
+    }
 }
 
 const char *
@@ -193,14 +210,7 @@ Executor::runSerial(const FeedDict &feed) const
             std::vector<Tensor> outputs(
                 static_cast<size_t>(node->numOutputs()));
             node->op->forward(inputs, outputs);
-            for (int i = 0; i < node->numOutputs(); ++i) {
-                ECHO_CHECK(
-                    outputs[static_cast<size_t>(i)].defined() &&
-                        outputs[static_cast<size_t>(i)].shape() ==
-                            node->out_shapes[static_cast<size_t>(i)],
-                    "op ", node->op->name(), " produced output ", i,
-                    " with wrong shape");
-            }
+            checkOutputs(node, outputs);
             values[s] = std::move(outputs);
             for (int input_slot : input_slots_[s])
                 release_use(input_slot);
@@ -225,44 +235,101 @@ Executor::runSerial(const FeedDict &feed) const
     return out;
 }
 
-std::vector<Tensor>
-Executor::runParallel(const FeedDict &feed) const
+/**
+ * One parallel run.  The caller and the drain tasks share it through a
+ * shared_ptr, so a drain task that the pool starts after the run ended
+ * still finds valid state: it sees `over` and returns without touching
+ * the executor or the feed.
+ */
+struct Executor::ParallelRun
 {
-    const size_t n = schedule_.size();
+    const Executor *exec = nullptr;
+    size_t n = 0;
 
-    // All mutable per-run state lives behind one mutex.  Node bodies
-    // (op->forward) run outside the lock; only the gather / store /
-    // bookkeeping steps around them hold it, so the lock is never held
-    // across numeric work.
-    struct RunState
-    {
-        std::mutex mu;
-        std::condition_variable cv;
-        std::vector<std::vector<Tensor>> values;
-        std::vector<int> remaining;
-        std::vector<int> pending_inputs;
-        std::deque<int> ready;
-        size_t completed = 0;
-        size_t inflight = 0;
-        std::exception_ptr error;
-    };
-    RunState st;
-    st.values.resize(n);
-    st.remaining = use_counts_;
-    st.pending_inputs = in_degree_;
-    for (size_t s = 0; s < n; ++s)
-        if (in_degree_[s] == 0)
-            st.ready.push_back(static_cast<int>(s));
+    std::mutex mu;
+    /** Idle drain tasks wait here for ready nodes. */
+    std::condition_variable work_cv;
+    /** The caller waits here; never notified for a ready node. */
+    std::condition_variable done_cv;
 
-    // Runs one node.  Tensor handles are shared_ptr-backed, so copying
-    // them out under the lock keeps the data alive even if the
-    // producer slot is freed while forward() executes.
-    auto run_node = [&](int slot) {
+    std::vector<std::vector<Tensor>> values;
+    std::vector<int> remaining;
+    std::vector<int> pending_inputs;
+    std::deque<int> ready;
+    size_t completed = 0;
+    /** Nodes popped (or continued into) but not yet completed. */
+    int running = 0;
+    /** Drain tasks inside drain() for this run. */
+    int active = 0;
+    /** Drain tasks waiting on work_cv. */
+    int idle = 0;
+    /** Set once: every node completed, an op threw, or dispatch stalled. */
+    bool over = false;
+    std::exception_ptr error;
+};
+
+void
+Executor::drain(ParallelRun &run)
+{
+    std::unique_lock<std::mutex> lk(run.mu);
+    if (run.over)
+        return;
+    ++run.active;
+    const Executor &ex = *run.exec;
+    // When a node continues into its consumer, `spent` takes the
+    // finished node's input handles so the buffers whose last use that
+    // was are freed outside the lock.
+    std::vector<Tensor> inputs, spent;
+    int slot = -1;
+    int wake = 0;
+    for (;;) {
+        if (slot < 0) {
+            while (run.ready.empty() && !run.over) {
+                if (run.running == 0) {
+                    // Nothing ready and nothing running: the remaining
+                    // nodes can never become ready.  The caller reports
+                    // the stall.
+                    run.over = true;
+                    run.work_cv.notify_all();
+                    break;
+                }
+                ++run.idle;
+                run.work_cv.wait(lk);
+                --run.idle;
+            }
+            if (run.over)
+                break;
+            slot = run.ready.front();
+            run.ready.pop_front();
+            ++run.running;
+        }
+
+        // Gather under the lock.  Tensor handles are shared_ptr-backed,
+        // so the copies keep the data alive even if a producer slot is
+        // freed while forward() executes.
         const size_t s = static_cast<size_t>(slot);
-        Node *node = schedule_[s];
-        std::vector<Tensor> outputs(
-            static_cast<size_t>(node->numOutputs()));
-        if (node->kind == NodeKind::kOp) {
+        Node *node = ex.schedule_[s];
+        spent.swap(inputs);
+        inputs.reserve(node->inputs.size());
+        for (size_t i = 0; i < node->inputs.size(); ++i) {
+            const auto &slot_vals =
+                run.values[static_cast<size_t>(ex.input_slots_[s][i])];
+            ECHO_CHECK(!slot_vals.empty(), "input of node #", node->id,
+                       " freed too early");
+            inputs.push_back(
+                slot_vals[static_cast<size_t>(node->inputs[i].index)]);
+        }
+        lk.unlock();
+        for (; wake > 0; --wake)
+            run.work_cv.notify_one();
+        spent.clear();
+
+        std::vector<Tensor> outputs(static_cast<size_t>(node->numOutputs()));
+        std::exception_ptr error;
+        {
+            // The span closes before the node counts as completed, so
+            // a trace stopped after run() returns has balanced B/E
+            // pairs.
             obs::Span span;
             if (obs::traceEnabled())
                 span.begin("exec", node->op->name(),
@@ -270,108 +337,128 @@ Executor::runParallel(const FeedDict &feed) const
                             {"slot", slot},
                             {"phase", phaseName(node->phase)}});
             countOp(node);
-            std::vector<Tensor> inputs;
-            inputs.reserve(node->inputs.size());
-            {
-                std::lock_guard<std::mutex> lk(st.mu);
-                for (size_t i = 0; i < node->inputs.size(); ++i) {
-                    const auto &slot_vals = st.values[static_cast<size_t>(
-                        input_slots_[s][i])];
-                    ECHO_CHECK(!slot_vals.empty(), "input of node #",
-                               node->id, " freed too early");
-                    inputs.push_back(slot_vals[static_cast<size_t>(
-                        node->inputs[i].index)]);
-                }
+            try {
+                node->op->forward(inputs, outputs);
+            } catch (...) {
+                error = std::current_exception();
             }
-            node->op->forward(inputs, outputs);
-            for (int i = 0; i < node->numOutputs(); ++i) {
-                ECHO_CHECK(
-                    outputs[static_cast<size_t>(i)].defined() &&
-                        outputs[static_cast<size_t>(i)].shape() ==
-                            node->out_shapes[static_cast<size_t>(i)],
-                    "op ", node->op->name(), " produced output ", i,
-                    " with wrong shape");
-            }
-        } else {
-            outputs = {feedValue(feed, node)};
         }
+        if (!error)
+            checkOutputs(node, outputs);
 
-        std::lock_guard<std::mutex> lk(st.mu);
-        st.values[s] = std::move(outputs);
-        for (int input_slot : input_slots_[s]) {
-            int &uses = st.remaining[static_cast<size_t>(input_slot)];
-            ECHO_CHECK(uses > 0, "use-count underflow on node #",
-                       schedule_[static_cast<size_t>(input_slot)]->id);
-            if (--uses == 0)
-                st.values[static_cast<size_t>(input_slot)].clear();
-        }
-        if (st.remaining[s] == 0)
-            st.values[s].clear();
-        for (int consumer : consumers_[s]) {
-            if (--st.pending_inputs[static_cast<size_t>(consumer)] == 0)
-                st.ready.push_back(consumer);
-        }
-        ++st.completed;
-    };
-
-    ThreadPool &pool = ThreadPool::global();
-    std::vector<int> batch;
-    std::unique_lock<std::mutex> lk(st.mu);
-    for (;;) {
-        st.cv.wait(lk, [&] {
-            return !st.ready.empty() || st.inflight == 0;
-        });
-        if (st.error) {
-            // Stop dispatching; wait for in-flight tasks (they
-            // reference st) before propagating.
-            st.ready.clear();
-            if (st.inflight > 0)
-                continue;
-            std::exception_ptr error = st.error;
-            lk.unlock();
-            std::rethrow_exception(error);
-        }
-        if (st.ready.empty()) {
-            ECHO_CHECK(st.completed == n,
-                       "executor stalled with ", n - st.completed,
-                       " nodes blocked (dependency cycle?)");
+        lk.lock();
+        --run.running;
+        slot = -1;
+        if (error) {
+            // The first exception stops dispatch; later ones are
+            // dropped.
+            if (!run.error)
+                run.error = error;
+            run.over = true;
+            run.ready.clear();
+            run.work_cv.notify_all();
             break;
         }
-        batch.assign(st.ready.begin(), st.ready.end());
-        st.ready.clear();
-        st.inflight += batch.size();
-        lk.unlock();
-        for (int slot : batch) {
-            pool.submit([&st, &run_node, slot] {
-                try {
-                    run_node(slot);
-                } catch (...) {
-                    std::lock_guard<std::mutex> lk(st.mu);
-                    if (!st.error)
-                        st.error = std::current_exception();
-                    ++st.completed;
-                }
-                // Notify while holding the mutex: the dispatcher
-                // destroys RunState as soon as it observes
-                // inflight == 0, so an unlocked notify could touch the
-                // condition variable after its lifetime ends.
-                std::lock_guard<std::mutex> lk(st.mu);
-                --st.inflight;
-                st.cv.notify_all();
-            });
+        if (run.over)
+            break; // another node threw meanwhile
+        run.values[s] = std::move(outputs);
+        for (int input_slot : ex.input_slots_[s]) {
+            int &uses = run.remaining[static_cast<size_t>(input_slot)];
+            ECHO_CHECK(uses > 0, "use-count underflow on node #",
+                       ex.schedule_[static_cast<size_t>(input_slot)]->id);
+            if (--uses == 0)
+                run.values[static_cast<size_t>(input_slot)].clear();
         }
-        lk.lock();
+        if (run.remaining[s] == 0)
+            run.values[s].clear();
+        int pushed = 0;
+        for (int consumer : ex.consumers_[s]) {
+            if (--run.pending_inputs[static_cast<size_t>(consumer)] != 0)
+                continue;
+            if (slot < 0) {
+                slot = consumer; // run it next, on this thread
+                ++run.running;
+            } else {
+                run.ready.push_back(consumer);
+                ++pushed;
+            }
+        }
+        wake = std::min(pushed, run.idle);
+        if (++run.completed == run.n) {
+            run.over = true;
+            run.done_cv.notify_one();
+            run.work_cv.notify_all();
+        }
+        if (slot < 0) {
+            // About to wait for work: drop the finished node's input
+            // handles now, outside the lock, or the buffers whose last
+            // use it was would stay alive while this task is idle.
+            lk.unlock();
+            inputs.clear();
+            lk.lock();
+        }
     }
+    // After an error or a stall the caller waits for every drain task
+    // that entered the run to leave it.
+    if (--run.active == 0 && run.completed != run.n)
+        run.done_cv.notify_one();
+}
+
+std::vector<Tensor>
+Executor::runParallel(const FeedDict &feed) const
+{
+    const size_t n = schedule_.size();
+    auto run = std::make_shared<ParallelRun>();
+    run->exec = this;
+    run->n = n;
+    run->values.resize(n);
+    run->remaining = use_counts_;
+    run->pending_inputs = in_degree_;
+
+    // Placeholders and weights resolve here, on the calling thread;
+    // only op nodes reach the ready queue.
+    for (size_t s = 0; s < n; ++s) {
+        if (in_degree_[s] != 0)
+            continue;
+        Node *node = schedule_[s];
+        if (node->kind == NodeKind::kOp) {
+            run->ready.push_back(static_cast<int>(s));
+            continue;
+        }
+        run->values[s] = {feedValue(feed, node)};
+        if (run->remaining[s] == 0)
+            run->values[s].clear();
+        for (int consumer : consumers_[s])
+            if (--run->pending_inputs[static_cast<size_t>(consumer)] == 0)
+                run->ready.push_back(consumer);
+        ++run->completed;
+    }
+
+    if (run->completed < n) {
+        ThreadPool &pool = ThreadPool::global();
+        for (int i = 0; i < pool.numThreads(); ++i)
+            pool.submit([run] { drain(*run); });
+    }
+
+    std::unique_lock<std::mutex> lk(run->mu);
+    run->done_cv.wait(lk, [&] {
+        return run->completed == n || (run->over && run->active == 0);
+    });
+    // Take the values out, so they die with this call rather than with
+    // the last drain task still queued on the pool.
+    const std::vector<std::vector<Tensor>> values = std::move(run->values);
+    if (run->error)
+        std::rethrow_exception(run->error);
+    ECHO_CHECK(run->completed == n, "executor stalled with ",
+               n - run->completed, " nodes blocked (dependency cycle?)");
     lk.unlock();
 
     std::vector<Tensor> out;
     out.reserve(fetches_.size());
     for (size_t i = 0; i < fetches_.size(); ++i) {
-        const auto &slot_vals =
-            st.values[static_cast<size_t>(fetch_slots_[i])];
+        const auto &slot_vals = values[static_cast<size_t>(fetch_slots_[i])];
         ECHO_CHECK(!slot_vals.empty(), "fetch value missing");
-        out.push_back(
-            slot_vals[static_cast<size_t>(fetches_[i].index)]);
+        out.push_back(slot_vals[static_cast<size_t>(fetches_[i].index)]);
     }
     return out;
 }

@@ -10,10 +10,17 @@
  * The executor has two execution strategies over the same schedule:
  *
  *  - serial: nodes run one after another in schedule order;
- *  - parallel: a ready queue dispatches every node whose producers have
- *    completed to the global ThreadPool, so independent nodes (e.g. the
- *    per-gate GEMMs of an LSTM cell, or forward nodes of different time
- *    steps that recomputation made independent) overlap.
+ *  - parallel: the calling thread resolves the feeds, then hands the
+ *    run to numThreads() long-lived drain tasks on the global
+ *    ThreadPool and blocks until the last node completed.  A drain task
+ *    pops a ready node, runs it, and under one lock acquisition stores
+ *    its outputs, releases its inputs and decrements its consumers; it
+ *    then continues straight into the first consumer it made ready and
+ *    queues the rest for the other drain tasks.  Independent nodes
+ *    (e.g. the per-gate GEMMs of an LSTM cell, or forward nodes of
+ *    different time steps that recomputation made independent) thus
+ *    overlap, while a dependent chain runs on one worker with no
+ *    thread hand-off between its nodes.
  *
  * Both strategies free intermediate buffers as soon as the last
  * consumer of a node has run, and both produce byte-identical results:
@@ -40,7 +47,11 @@ enum class ExecMode
 {
     /** Strict schedule order on the calling thread. */
     kSerial,
-    /** Ready-queue dispatch onto the global ThreadPool. */
+    /**
+     * Drain tasks on the global ThreadPool pull ready nodes and run the
+     * consumer they unblock inline (see the file comment).  A run()
+     * issued on a pool worker still runs serially.
+     */
     kParallel,
     /**
      * kParallel when it can help (pool has >1 thread, the schedule is
@@ -63,9 +74,9 @@ class Executor
      * placeholder and weight in the fetched subgraph.  Intermediate
      * tensors are freed as soon as their last consumer has run.
      *
-     * Thread-safe: all per-run state is local and the executor itself
-     * is immutable after construction, so concurrent run() calls on one
-     * Executor overlap freely.
+     * Thread-safe: all per-run state belongs to the run and the
+     * executor itself is immutable after construction, so concurrent
+     * run() calls on one Executor overlap freely.
      */
     std::vector<Tensor> run(const FeedDict &feed) const;
 
@@ -79,8 +90,18 @@ class Executor
     ExecMode mode() const { return mode_; }
 
   private:
+    /** Shared state of one parallel run (defined in executor.cc). */
+    struct ParallelRun;
+
     std::vector<Tensor> runSerial(const FeedDict &feed) const;
     std::vector<Tensor> runParallel(const FeedDict &feed) const;
+
+    /**
+     * Body of one parallel-run drain task.  Reads the executor only
+     * through @p run and only while the run is live, so a drain task
+     * that starts after its run ended touches nothing but @p run.
+     */
+    static void drain(ParallelRun &run);
 
     /** Resolve kAuto against the pool and calling context. */
     bool useParallel() const;

@@ -145,9 +145,11 @@ TEST(Fusion, FusesGateChainIntoOneNode)
     EXPECT_EQ(group.frontier.size(), 2u);
     EXPECT_EQ(out.node->inputs, group.frontier);
     // Interiors are orphaned: the fused graph reaches no sigmoid node.
-    for (const graph::Node *n : graph::reachableNodes({out}))
-        if (n->op != nullptr)
+    for (const graph::Node *n : graph::reachableNodes({out})) {
+        if (n->op != nullptr) {
             EXPECT_EQ(n->op->name(), "fused_ew");
+        }
+    }
 }
 
 TEST(Fusion, FetchedAndExternallyConsumedValuesStayMaterialized)

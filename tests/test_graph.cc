@@ -5,8 +5,11 @@
  */
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstring>
+#include <stdexcept>
+#include <thread>
 
 #include "analysis/graph_verifier.h"
 #include "core/rng.h"
@@ -16,6 +19,7 @@
 #include "graph/ops/op_fused_rnn.h"
 #include "graph/ops/oplib.h"
 #include "graph/schedule.h"
+#include "obs/counters.h"
 #include "tensor/ops.h"
 
 namespace echo::graph {
@@ -302,6 +306,188 @@ TEST(Executor, AutoModeIsDefaultAndRuns)
     feed[x.node] = Tensor(Shape({2}), {0.5f, -0.5f});
     const auto out = ex.run(feed);
     EXPECT_NEAR(out[0].at(0), std::tanh(0.5f), 1e-6);
+}
+
+/** True when every fetch of @p a matches @p b byte for byte. */
+bool
+sameBytes(const std::vector<Tensor> &a, const std::vector<Tensor> &b)
+{
+    if (a.size() != b.size())
+        return false;
+    for (size_t i = 0; i < a.size(); ++i) {
+        if (a[i].shape() != b[i].shape() ||
+            std::memcmp(a[i].data(), b[i].data(),
+                        static_cast<size_t>(a[i].numel()) *
+                            sizeof(float)) != 0)
+            return false;
+    }
+    return true;
+}
+
+/**
+ * @p width chains of @p depth alternating scale/tanh nodes hanging off
+ * @p x, summed pairwise; @p tap (if set) is spliced into the middle of
+ * the first chain.  width 8 x depth 12 gives a 104-node schedule.
+ */
+Val
+wideChains(Graph &g, Val x, int width, int depth, OpPtr tap = nullptr)
+{
+    std::vector<Val> chains;
+    for (int c = 0; c < width; ++c) {
+        Val v = x;
+        for (int d = 0; d < depth; ++d) {
+            if (c == 0 && d == depth / 2 && tap)
+                v = g.apply1(tap, {v});
+            v = d % 2 == 0
+                    ? g.apply1(ol::scale(0.5f + 0.1f * static_cast<float>(c)),
+                               {v})
+                    : g.apply1(ol::tanhOp(), {v});
+        }
+        chains.push_back(v);
+    }
+    while (chains.size() > 1) {
+        std::vector<Val> next;
+        for (size_t i = 0; i + 1 < chains.size(); i += 2)
+            next.push_back(g.apply1(ol::add(), {chains[i], chains[i + 1]}));
+        chains = std::move(next);
+    }
+    return chains[0];
+}
+
+/** Identity that throws while @p armed is set. */
+class ThrowWhenArmedOp : public Op
+{
+  public:
+    explicit ThrowWhenArmedOp(const std::atomic<bool> &armed)
+        : armed_(armed)
+    {
+    }
+
+    std::string name() const override { return "throw_when_armed"; }
+
+    std::vector<Shape>
+    inferShapes(const std::vector<Shape> &in) const override
+    {
+        return {in[0]};
+    }
+
+    void
+    forward(const std::vector<Tensor> &in,
+            std::vector<Tensor> &out) const override
+    {
+        if (armed_.load())
+            throw std::runtime_error("armed op fired");
+        out[0] = in[0];
+    }
+
+    std::vector<Val>
+    buildGradient(GradContext &) const override
+    {
+        return {Val{}};
+    }
+
+  private:
+    const std::atomic<bool> &armed_;
+};
+
+/** Restores the default global pool when a test leaves scope. */
+struct PoolOf
+{
+    explicit PoolOf(int threads) { ThreadPool::setGlobalNumThreads(threads); }
+    ~PoolOf()
+    {
+        ThreadPool::setGlobalNumThreads(ThreadPool::defaultNumThreads());
+    }
+};
+
+TEST(Executor, ParallelRethrowsOpErrorAndRunsAgain)
+{
+    PoolOf pool(2);
+    std::atomic<bool> armed{true};
+    Graph g;
+    Rng rng(47);
+    Val x = g.placeholder(Shape({16, 16}), "x");
+    Val top = wideChains(g, x, 4, 8,
+                         std::make_shared<ThrowWhenArmedOp>(armed));
+    FeedDict feed;
+    feed[x.node] = Tensor::uniform(Shape({16, 16}), rng, -1.0f, 1.0f);
+
+    Executor parallel({top}, ExecMode::kParallel);
+    for (int attempt = 0; attempt < 3; ++attempt)
+        EXPECT_THROW(parallel.run(feed), std::runtime_error);
+
+    armed = false;
+    const auto p = parallel.run(feed);
+    const auto s = Executor({top}, ExecMode::kSerial).run(feed);
+    EXPECT_TRUE(sameBytes(p, s));
+}
+
+TEST(Executor, ConcurrentRunsMatchSerial)
+{
+    PoolOf pool(2);
+    Graph g;
+    Rng rng(53);
+    Val x = g.placeholder(Shape({32, 32}), "x");
+    Val top = wideChains(g, x, 8, 12);
+    FeedDict feed;
+    feed[x.node] = Tensor::uniform(Shape({32, 32}), rng, -1.0f, 1.0f);
+
+    const auto expected = Executor({top}, ExecMode::kSerial).run(feed);
+    Executor parallel({top}, ExecMode::kParallel);
+    std::atomic<int> mismatches{0};
+    std::vector<std::thread> callers;
+    for (int t = 0; t < 4; ++t)
+        callers.emplace_back([&] {
+            for (int i = 0; i < 5; ++i)
+                if (!sameBytes(parallel.run(feed), expected))
+                    ++mismatches;
+        });
+    for (std::thread &t : callers)
+        t.join();
+    EXPECT_EQ(mismatches.load(), 0);
+}
+
+TEST(Executor, RunInsideParallelForCompletes)
+{
+    PoolOf pool(2);
+    Graph g;
+    Rng rng(59);
+    Val x = g.placeholder(Shape({16, 16}), "x");
+    Val top = wideChains(g, x, 4, 6);
+    FeedDict feed;
+    feed[x.node] = Tensor::uniform(Shape({16, 16}), rng, -1.0f, 1.0f);
+
+    const auto expected = Executor({top}, ExecMode::kSerial).run(feed);
+    Executor parallel({top}, ExecMode::kParallel);
+    std::vector<std::vector<Tensor>> got(8);
+    ThreadPool::global().parallelFor(0, 8, 1, [&](int64_t b, int64_t e) {
+        for (int64_t i = b; i < e; ++i)
+            got[static_cast<size_t>(i)] = parallel.run(feed);
+    });
+    for (const auto &r : got)
+        EXPECT_TRUE(sameBytes(r, expected));
+}
+
+TEST(Executor, ParallelRunSubmitsAtMostOneTaskPerThread)
+{
+    PoolOf pool(2);
+    Graph g;
+    Rng rng(61);
+    Val x = g.placeholder(Shape({8, 8}), "x");
+    Val top = wideChains(g, x, 8, 12);
+    FeedDict feed;
+    feed[x.node] = Tensor::uniform(Shape({8, 8}), rng, -1.0f, 1.0f);
+
+    Executor parallel({top}, ExecMode::kParallel);
+    ASSERT_GE(parallel.schedule().size(), 100u);
+    const obs::Counter &submitted = obs::counter(
+        "pool.tasks_submitted", obs::CounterKind::kScheduling);
+    const int threads = ThreadPool::global().numThreads();
+    for (int i = 0; i < 4; ++i) {
+        const int64_t before = submitted.value();
+        parallel.run(feed);
+        EXPECT_LE(submitted.value() - before, threads);
+    }
 }
 
 TEST(FusedLstm, ShapesAndFiniteness)

@@ -8,10 +8,11 @@
  * virtual registers.  Registers 0..num_inputs-1 hold the fused node's
  * inputs; every instruction writes a fresh register; the last
  * instruction's destination is the node's output.  One instruction
- * performs exactly ONE primitive arithmetic step — the same granularity
- * as the unfused per-op tensor kernels — so no compiler can contract
- * a multiply and an add across what used to be two ops, and fused
- * results stay byte-identical to the unfused graph.
+ * performs exactly ONE primitive step — the same granularity as the
+ * unfused per-op tensor kernels, with tanh and sigmoid evaluated by the
+ * same tensor/vec_math.h functions — so no compiler can contract a
+ * multiply and an add across what used to be two ops, and fused results
+ * stay byte-identical to the unfused graph.
  */
 #ifndef ECHO_GRAPH_EW_PROGRAM_H
 #define ECHO_GRAPH_EW_PROGRAM_H
@@ -30,8 +31,8 @@ enum class EwOpcode {
     kAddScalar,  ///< dst = a + scalar
     kMulScalar,  ///< dst = a * scalar
     kSquare,     ///< dst = a * a
-    kTanh,       ///< dst = std::tanh(a)
-    kSigmoid,    ///< dst = 1 / (1 + std::exp(-a))
+    kTanh,       ///< dst = vec::tanh(a)  (tensor/vec_math.h)
+    kSigmoid,    ///< dst = vec::sigmoid(a) = 1 / (1 + vec::exp(-a))
     kRelu,       ///< dst = a > 0 ? a : 0
     kGtZeroMask, ///< dst = a > 0 ? 1 : 0
 };

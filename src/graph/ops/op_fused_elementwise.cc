@@ -3,19 +3,21 @@
  * Block interpreter for fused element-wise programs, plus the
  * ew_program.h helpers.
  *
- * Hot path: compiled -O3 like the unfused element-wise kernels.  Each
- * opcode's inner loop performs exactly one primitive arithmetic step,
- * matching the per-op tensor kernels (tensor/ops_elementwise.cc), so
- * -ffp-contract can never merge operations across what used to be two
- * graph nodes — the byte-identity contract of the fusion pass.
+ * Hot path: compiled with the same flags as the unfused element-wise
+ * kernels (host ISA, -O3, -ffp-contract=off).  Each opcode's inner loop
+ * performs exactly one primitive step, matching the per-op tensor
+ * kernels (tensor/ops_elementwise.cc), and tanh / sigmoid call the same
+ * tensor/vec_math.h functions those kernels call, so fused results are
+ * byte-identical to the unfused graph.
  */
 #include "graph/ops/op_fused_elementwise.h"
 
-#include <cmath>
+#include <algorithm>
 #include <sstream>
 
 #include "core/logging.h"
 #include "tensor/kernel_par.h"
+#include "tensor/vec_math.h"
 
 namespace echo::graph {
 
@@ -152,11 +154,11 @@ runInstr(const EwInstr &instr, const float *a, const float *b,
         break;
     case EwOpcode::kTanh:
         for (int64_t j = 0; j < len; ++j)
-            dst[j] = std::tanh(a[j]);
+            dst[j] = vec::tanh(a[j]);
         break;
     case EwOpcode::kSigmoid:
         for (int64_t j = 0; j < len; ++j)
-            dst[j] = 1.0f / (1.0f + std::exp(-a[j]));
+            dst[j] = vec::sigmoid(a[j]);
         break;
     case EwOpcode::kRelu:
         for (int64_t j = 0; j < len; ++j)

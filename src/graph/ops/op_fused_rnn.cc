@@ -1,21 +1,16 @@
 #include "graph/ops/op_fused_rnn.h"
 
-#include <cmath>
+#include <algorithm>
 
 #include "core/logging.h"
 #include "graph/graph.h"
 #include "graph/ops/oplib.h"
 #include "tensor/ops.h"
+#include "tensor/vec_math.h"
 
 namespace echo::graph::oplib {
 
 namespace {
-
-float
-sigmoidf(float x)
-{
-    return 1.0f / (1.0f + std::exp(-x));
-}
 
 /**
  * Emit the GEMM kernel descriptors shared by both fused styles.
@@ -105,21 +100,19 @@ class FusedLstmLayerOp : public Op
             Tensor h_t(Shape({b, h}));
             Tensor c_t(Shape({b, h}));
             for (int64_t r = 0; r < b; ++r) {
+                const float *g = gates.data() + r * 4 * h;
+                const float *cp = c_prev.data() + r * h;
+                float *ct = c_t.data() + r * h;
+                float *ht = h_t.data() + r * h;
+                float *res = reserve.data() + ((step * b + r) * 5 * h);
                 for (int64_t j = 0; j < h; ++j) {
-                    const float gi =
-                        sigmoidf(gates.at(r, 0 * h + j));
-                    const float gf =
-                        sigmoidf(gates.at(r, 1 * h + j));
-                    const float gg =
-                        std::tanh(gates.at(r, 2 * h + j));
-                    const float go =
-                        sigmoidf(gates.at(r, 3 * h + j));
-                    const float c =
-                        gf * c_prev.at(r, j) + gi * gg;
-                    c_t.at(r, j) = c;
-                    h_t.at(r, j) = go * std::tanh(c);
-                    float *res =
-                        reserve.data() + ((step * b + r) * 5 * h);
+                    const float gi = vec::sigmoid(g[0 * h + j]);
+                    const float gf = vec::sigmoid(g[1 * h + j]);
+                    const float gg = vec::tanh(g[2 * h + j]);
+                    const float go = vec::sigmoid(g[3 * h + j]);
+                    const float c = gf * cp[j] + gi * gg;
+                    ct[j] = c;
+                    ht[j] = go * vec::tanh(c);
                     res[0 * h + j] = gi;
                     res[1 * h + j] = gf;
                     res[2 * h + j] = gg;
@@ -127,9 +120,8 @@ class FusedLstmLayerOp : public Op
                     res[4 * h + j] = c;
                 }
             }
-            for (int64_t r = 0; r < b; ++r)
-                for (int64_t j = 0; j < h; ++j)
-                    hs.at(step, r, j) = h_t.at(r, j);
+            std::copy(h_t.data(), h_t.data() + b * h,
+                      hs.data() + step * b * h);
             h_prev = std::move(h_t);
             c_prev = std::move(c_t);
         }
@@ -286,7 +278,7 @@ class FusedLstmLayerGradOp : public Op
                         step > 0 ? reserve.data()[(((step - 1) * b +
                                                     r) * 5 + 4) * h + j]
                                  : c0.at(r, j);
-                    const float tc = std::tanh(c);
+                    const float tc = vec::tanh(c);
                     const float dht_ = dh.at(r, j);
                     const float do_ = dht_ * tc;
                     float dc_ = dc.at(r, j) +

@@ -47,27 +47,6 @@ candidateLess(const Candidate &a, const Candidate &b)
     return a.token < b.token;
 }
 
-/**
- * Log-softmax of logits row @p r into @p out, reducing in fixed index
- * order (determinism).
- */
-void
-logSoftmaxRow(const Tensor &logits, int64_t r, std::vector<double> &out)
-{
-    const int64_t v = logits.shape()[1];
-    out.resize(static_cast<size_t>(v));
-    double mx = logits.at(r, 0);
-    for (int64_t j = 1; j < v; ++j)
-        mx = std::max(mx, static_cast<double>(logits.at(r, j)));
-    double sum = 0.0;
-    for (int64_t j = 0; j < v; ++j)
-        sum += std::exp(static_cast<double>(logits.at(r, j)) - mx);
-    const double log_z = mx + std::log(sum);
-    for (int64_t j = 0; j < v; ++j)
-        out[static_cast<size_t>(j)] =
-            static_cast<double>(logits.at(r, j)) - log_z;
-}
-
 BeamHypothesis
 finishHypothesis(const LiveBeam &beam, float alpha)
 {
@@ -91,6 +70,27 @@ hypothesisLess(const BeamHypothesis &a, const BeamHypothesis &b)
 }
 
 } // namespace
+
+void
+logSoftmaxRow(const Tensor &logits, int64_t r, std::vector<double> &out)
+{
+    ECHO_CHECK(logits.shape().ndim() == 2 && r >= 0 &&
+                   r < logits.shape()[0],
+               "logSoftmaxRow: row ", r, " of ",
+               logits.shape().toString());
+    const int64_t v = logits.shape()[1];
+    const float *row = logits.data() + r * v;
+    out.resize(static_cast<size_t>(v));
+    double mx = row[0];
+    for (int64_t j = 1; j < v; ++j)
+        mx = std::max(mx, static_cast<double>(row[j]));
+    double sum = 0.0;
+    for (int64_t j = 0; j < v; ++j)
+        sum += std::exp(static_cast<double>(row[j]) - mx);
+    const double log_z = mx + std::log(sum);
+    for (int64_t j = 0; j < v; ++j)
+        out[static_cast<size_t>(j)] = static_cast<double>(row[j]) - log_z;
+}
 
 models::NmtDecoder::Encoded
 tileEncoderRow(const models::NmtDecoder::Encoded &enc, int64_t row,

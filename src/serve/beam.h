@@ -48,6 +48,14 @@ BeamHypothesis beamSearch(const models::NmtDecoder &dec,
                           float alpha = 0.6f);
 
 /**
+ * Log-softmax of row @p r of the [rows x V] @p logits into @p out, in
+ * double with std::exp and a fixed index order: the scores are
+ * user-visible, so beam search and every session payload share this
+ * one deterministic reduction.
+ */
+void logSoftmaxRow(const Tensor &logits, int64_t r, std::vector<double> &out);
+
+/**
  * Tile row @p row of a batched encoder output across all of
  * @p rows rows (the enc argument beamSearch expects).
  */

@@ -1,7 +1,6 @@
 #include "serve/session.h"
 
 #include <algorithm>
-#include <cmath>
 #include <sstream>
 
 #include "core/logging.h"
@@ -18,24 +17,6 @@ namespace {
 
 using models::NmtDecoder;
 using models::ParamStore;
-
-/** Deterministic log-softmax of one logits row (fixed index order). */
-void
-logSoftmaxRow(const Tensor &logits, int64_t r, std::vector<double> &out)
-{
-    const int64_t v = logits.shape()[1];
-    out.resize(static_cast<size_t>(v));
-    double mx = logits.at(r, 0);
-    for (int64_t j = 1; j < v; ++j)
-        mx = std::max(mx, static_cast<double>(logits.at(r, j)));
-    double sum = 0.0;
-    for (int64_t j = 0; j < v; ++j)
-        sum += std::exp(static_cast<double>(logits.at(r, j)) - mx);
-    const double log_z = mx + std::log(sum);
-    for (int64_t j = 0; j < v; ++j)
-        out[static_cast<size_t>(j)] =
-            static_cast<double>(logits.at(r, j)) - log_z;
-}
 
 /**
  * The word-LM payload: top-k next-token ids and log-probabilities of

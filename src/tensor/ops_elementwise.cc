@@ -1,8 +1,7 @@
-#include <cmath>
-
 #include "core/logging.h"
 #include "tensor/kernel_par.h"
 #include "tensor/ops.h"
+#include "tensor/vec_math.h"
 
 namespace echo::ops {
 
@@ -90,15 +89,13 @@ mulScalar(const Tensor &a, float s)
 Tensor
 tanh(const Tensor &a)
 {
-    return mapWith(a, [](float x) { return std::tanh(x); });
+    return mapWith(a, [](float x) { return vec::tanh(x); });
 }
 
 Tensor
 sigmoid(const Tensor &a)
 {
-    return mapWith(a, [](float x) {
-        return 1.0f / (1.0f + std::exp(-x));
-    });
+    return mapWith(a, [](float x) { return vec::sigmoid(x); });
 }
 
 Tensor

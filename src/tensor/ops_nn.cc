@@ -1,8 +1,11 @@
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "core/logging.h"
 #include "tensor/kernel_par.h"
 #include "tensor/ops.h"
+#include "tensor/vec_math.h"
 
 namespace echo::ops {
 
@@ -29,11 +32,11 @@ softmaxLastAxis(const Tensor &a)
             float mx = src[0];
             for (int64_t j = 1; j < n; ++j)
                 mx = std::max(mx, src[j]);
+            for (int64_t j = 0; j < n; ++j)
+                dst[j] = vec::exp(src[j] - mx);
             double denom = 0.0;
-            for (int64_t j = 0; j < n; ++j) {
-                dst[j] = std::exp(src[j] - mx);
+            for (int64_t j = 0; j < n; ++j)
                 denom += dst[j];
-            }
             const float inv = static_cast<float>(1.0 / denom);
             for (int64_t j = 0; j < n; ++j)
                 dst[j] *= inv;
@@ -57,9 +60,12 @@ logSoftmaxLastAxis(const Tensor &a)
             float mx = src[0];
             for (int64_t j = 1; j < n; ++j)
                 mx = std::max(mx, src[j]);
+            // dst holds the row's exponentials until the final pass.
+            for (int64_t j = 0; j < n; ++j)
+                dst[j] = vec::exp(src[j] - mx);
             double denom = 0.0;
             for (int64_t j = 0; j < n; ++j)
-                denom += std::exp(src[j] - mx);
+                denom += dst[j];
             const float log_denom =
                 static_cast<float>(std::log(denom)) + mx;
             for (int64_t j = 0; j < n; ++j)
@@ -94,8 +100,12 @@ crossEntropy(const Tensor &logits, const Tensor &labels)
 
     // Per-row log-softmax computed inline, in exactly the float-op
     // order logSoftmaxLastAxis uses — bit-identical loss without
-    // materializing an [N x V] temporary per call.  The serial loop
-    // keeps the summation order fixed.
+    // materializing an [N x V] temporary per call; the exponentials go
+    // through one reused per-thread row.  The serial loop keeps the
+    // summation order fixed.
+    thread_local std::vector<float> row_scratch;
+    row_scratch.resize(static_cast<size_t>(v));
+    float *row = row_scratch.data();
     double loss = 0.0;
     const int64_t valid = countValidLabels(labels);
     for (int64_t i = 0; i < n; ++i) {
@@ -108,9 +118,11 @@ crossEntropy(const Tensor &logits, const Tensor &labels)
         float mx = src[0];
         for (int64_t j = 1; j < v; ++j)
             mx = std::max(mx, src[j]);
+        for (int64_t j = 0; j < v; ++j)
+            row[j] = vec::exp(src[j] - mx);
         double denom = 0.0;
         for (int64_t j = 0; j < v; ++j)
-            denom += std::exp(src[j] - mx);
+            denom += row[j];
         const float log_denom =
             static_cast<float>(std::log(denom)) + mx;
         loss -= src[label] - log_denom;

@@ -1,7 +1,6 @@
 #include "tensor/tensor.h"
 
 #include <cmath>
-#include <cstring>
 
 #include "core/logging.h"
 #include "core/rng.h"
@@ -9,23 +8,22 @@
 namespace echo {
 
 void
-Tensor::allocate()
+Tensor::allocate(float value)
 {
     auto vec = std::make_shared<std::vector<float>>(
-        static_cast<size_t>(shape_.numel()));
+        static_cast<size_t>(shape_.numel()), value);
     data_ = vec->data();
     storage_ = std::move(vec);
 }
 
 Tensor::Tensor(Shape shape) : shape_(shape)
 {
-    allocate();
+    allocate(0.0f);
 }
 
 Tensor::Tensor(Shape shape, float value) : shape_(shape)
 {
-    allocate();
-    fill(value);
+    allocate(value);
 }
 
 Tensor::Tensor(Shape shape, std::vector<float> values) : shape_(shape)
@@ -140,9 +138,10 @@ Tensor::clone() const
     Tensor t;
     t.shape_ = shape_;
     if (data_) {
-        t.allocate();
-        std::memcpy(t.data_, data_,
-                    static_cast<size_t>(numel()) * sizeof(float));
+        auto vec = std::make_shared<std::vector<float>>(data_,
+                                                        data_ + numel());
+        t.data_ = vec->data();
+        t.storage_ = std::move(vec);
     }
     return t;
 }

@@ -31,7 +31,7 @@ class Tensor
     /** An empty (shapeless, storage-less) tensor. */
     Tensor() = default;
 
-    /** Allocate an uninitialized tensor of the given shape. */
+    /** Allocate a zero-filled tensor of the given shape. */
     explicit Tensor(Shape shape);
 
     /** Allocate and fill with @p value. */
@@ -105,8 +105,8 @@ class Tensor
   private:
     float *checkedData() const;
 
-    /** Heap-allocate numel floats for shape_ (uninitialized). */
-    void allocate();
+    /** Heap-allocate numel floats for shape_, each set to @p value. */
+    void allocate(float value);
 
     std::shared_ptr<void> storage_;
     float *data_ = nullptr;

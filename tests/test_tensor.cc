@@ -4,23 +4,32 @@
  * against hand-computed or reference results, including TEST_P sweeps
  * over GEMM transpose combinations; plus the persistent packed-weight
  * cache (hits, version-bump invalidation, address reuse, a training
- * iteration's pack set) and the PackScratch shrink policy.
+ * iteration's pack set) and the PackScratch shrink policy; and the
+ * vectorized exp / tanh / sigmoid against std:: (ulp bounds, special
+ * values, vector lanes vs scalar tails, fused vs unfused).
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cfloat>
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
+#include <iterator>
+#include <limits>
 
 #include "core/rng.h"
 #include "core/thread_pool.h"
 #include "data/batcher.h"
 #include "graph/executor.h"
+#include "graph/ops/op_fused_elementwise.h"
 #include "models/word_lm.h"
 #include "tensor/ops.h"
 #include "tensor/pack_cache.h"
 #include "tensor/pack_scratch.h"
 #include "tensor/tensor.h"
+#include "tensor/vec_math.h"
 
 namespace echo {
 namespace {
@@ -53,6 +62,8 @@ TEST(Tensor, ZerosAndFill)
 {
     Tensor t = Tensor::zeros(Shape({2, 2}));
     EXPECT_DOUBLE_EQ(t.sum(), 0.0);
+    EXPECT_DOUBLE_EQ(Tensor(Shape({5})).sum(), 0.0);
+    EXPECT_DOUBLE_EQ(Tensor(Shape({4}), 1.5f).sum(), 6.0);
     t.fill(2.5f);
     EXPECT_DOUBLE_EQ(t.sum(), 10.0);
 }
@@ -195,6 +206,205 @@ TEST(Elementwise, BiasAndReduce)
     EXPECT_FLOAT_EQ(y.at(1, 2), 36.0f);
     Tensor s = ops::sumToBias(y, 3);
     EXPECT_FLOAT_EQ(s.at(0), 1 + 4 + 20.0f);
+}
+
+// ----------------------------------------------------------------------
+// Vectorized exp / tanh / sigmoid (tensor/vec_math.h), with std:: as
+// the reference
+// ----------------------------------------------------------------------
+
+/** Distance in ulps between two non-NaN floats of any sign. */
+int64_t
+ulpDistance(float a, float b)
+{
+    auto key = [](float f) {
+        const int64_t i = std::bit_cast<int32_t>(f);
+        return i < 0 ? int64_t(INT32_MIN) - i : i;
+    };
+    return std::llabs(key(a) - key(b));
+}
+
+struct SweepError
+{
+    int64_t max_ulp = 0;
+    double max_abs = 0.0;
+};
+
+/**
+ * Worst error of @p f against the float-rounded double reference
+ * @p ref over every 1021st float bit pattern.  A reference below
+ * FLT_MIN (where vec::exp flushes to zero) must be matched within
+ * FLT_MIN instead of in ulps.
+ */
+template <typename F, typename R>
+SweepError
+sweepAgainstStd(F f, R ref)
+{
+    SweepError worst;
+    for (uint64_t b = 0; b <= 0xffffffffu; b += 1021) {
+        const float x = std::bit_cast<float>(static_cast<uint32_t>(b));
+        if (std::isnan(x))
+            continue;
+        const float want = ref(x);
+        const float got = f(x);
+        if (std::fabs(want) < FLT_MIN) {
+            EXPECT_LE(std::fabs(got - want), FLT_MIN) << "x=" << x;
+            continue;
+        }
+        worst.max_ulp = std::max(worst.max_ulp, ulpDistance(got, want));
+        if (std::isfinite(want))
+            worst.max_abs = std::max(
+                worst.max_abs,
+                std::fabs(static_cast<double>(got) - want));
+    }
+    return worst;
+}
+
+TEST(VecMath, WithinUlpBoundsOfStdOverStridedBitPatterns)
+{
+    const SweepError e = sweepAgainstStd(
+        [](float x) { return vec::exp(x); },
+        [](float x) { return static_cast<float>(std::exp(double(x))); });
+    EXPECT_LE(e.max_ulp, 1);
+    const SweepError t = sweepAgainstStd(
+        [](float x) { return vec::tanh(x); },
+        [](float x) { return static_cast<float>(std::tanh(double(x))); });
+    EXPECT_LE(t.max_ulp, 7);
+    EXPECT_LE(t.max_abs, 4.2e-7);
+    const SweepError s = sweepAgainstStd(
+        [](float x) { return vec::sigmoid(x); },
+        [](float x) {
+            return static_cast<float>(1.0 / (1.0 + std::exp(-double(x))));
+        });
+    EXPECT_LE(s.max_ulp, 2);
+}
+
+TEST(VecMath, SpecialValuesAreExact)
+{
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    EXPECT_TRUE(std::isnan(vec::exp(nan)));
+    EXPECT_EQ(vec::exp(inf), inf);
+    EXPECT_EQ(vec::exp(-inf), 0.0f);
+    EXPECT_EQ(vec::exp(0.0f), 1.0f);
+    EXPECT_EQ(vec::exp(-0.0f), 1.0f);
+    EXPECT_EQ(vec::exp(89.0f), inf);
+    EXPECT_TRUE(std::isfinite(vec::exp(88.72283f)));
+    // Every input below ln(FLT_MIN) gives exactly 0, never a subnormal.
+    const float ln_min = static_cast<float>(std::log(double(FLT_MIN)));
+    for (float x = std::nextafter(ln_min, -inf); x > -200.0f;
+         x = x * 1.001f - 1e-3f) {
+        ASSERT_LT(double(x), std::log(double(FLT_MIN)));
+        EXPECT_EQ(std::bit_cast<uint32_t>(vec::exp(x)), 0u) << x;
+    }
+    EXPECT_GE(vec::exp(std::nextafter(ln_min, 0.0f)), FLT_MIN * 0.99f);
+
+    EXPECT_EQ(vec::tanh(inf), 1.0f);
+    EXPECT_EQ(vec::tanh(-inf), -1.0f);
+    EXPECT_EQ(vec::tanh(0.0f), 0.0f);
+    EXPECT_TRUE(std::signbit(vec::tanh(-0.0f)));
+    EXPECT_EQ(vec::tanh(-0.0f), 0.0f);
+    EXPECT_TRUE(std::isnan(vec::tanh(nan)));
+    EXPECT_EQ(vec::tanh(1e-30f), 1e-30f);
+
+    EXPECT_EQ(vec::sigmoid(-inf), 0.0f);
+    EXPECT_EQ(vec::sigmoid(inf), 1.0f);
+    EXPECT_EQ(vec::sigmoid(0.0f), 0.5f);
+    EXPECT_TRUE(std::isnan(vec::sigmoid(nan)));
+
+    // A non-finite logit still gives a non-finite loss.
+    Tensor logits(Shape({2, 3}), {0.5f, nan, 1.0f, 0.0f, 1.0f, 2.0f});
+    Tensor labels(Shape({2}), {0.0f, 1.0f});
+    EXPECT_FALSE(ops::crossEntropy(logits, labels).allFinite());
+    logits.at(1) = inf;
+    EXPECT_FALSE(ops::crossEntropy(logits, labels).allFinite());
+}
+
+/**
+ * Inputs of length @p n mixing ordinary values and special ones, the
+ * specials at indices @p first, first + 7, ...
+ */
+Tensor
+laneInputs(int64_t n, float lo, float hi, uint64_t seed,
+           int64_t first = 5)
+{
+    Rng rng(seed);
+    Tensor x = Tensor::uniform(Shape({n}), rng, lo, hi);
+    const float specials[] = {std::numeric_limits<float>::infinity(),
+                              -std::numeric_limits<float>::infinity(),
+                              -0.0f, 1e-5f, 9.0f, -9.0f, 88.8f, -88.8f,
+                              std::numeric_limits<float>::quiet_NaN()};
+    for (int64_t i = first; i < n; i += 7)
+        x.at(i) = specials[(i / 7) % std::size(specials)];
+    return x;
+}
+
+bool
+sameBytes(const Tensor &a, const Tensor &b)
+{
+    return a.shape() == b.shape() &&
+           std::memcmp(a.data(), b.data(),
+                       static_cast<size_t>(a.numel()) * sizeof(float)) ==
+               0;
+}
+
+TEST(VecMath, VectorLanesMatchElementByElement)
+{
+    for (int64_t n = 1; n <= 67; ++n) {
+        const Tensor x = laneInputs(n, -12.0f, 12.0f, 100 + n);
+        const Tensor th = ops::tanh(x);
+        const Tensor sg = ops::sigmoid(x);
+        for (int64_t i = 0; i < n; ++i) {
+            const Tensor xi(Shape({1}), {x.at(i)});
+            EXPECT_TRUE(sameBytes(ops::tanh(xi),
+                                  Tensor(Shape({1}), {th.at(i)})))
+                << "tanh n=" << n << " i=" << i;
+            EXPECT_TRUE(sameBytes(ops::sigmoid(xi),
+                                  Tensor(Shape({1}), {sg.at(i)})))
+                << "sigmoid n=" << n << " i=" << i;
+        }
+        // Rows start at every offset modulo the vector width, so the
+        // lanes and scalar tails a row falls into differ from its
+        // standalone evaluation.
+        const int64_t rows = 3;
+        const Tensor m = laneInputs(rows * n, -60.0f, 60.0f, 200 + n)
+                             .reshape(Shape({rows, n}));
+        const Tensor sm = ops::softmaxLastAxis(m);
+        for (int64_t r = 0; r < rows; ++r) {
+            const Tensor row = ops::slice(m, 0, r, r + 1);
+            EXPECT_TRUE(sameBytes(ops::softmaxLastAxis(row),
+                                  ops::slice(sm, 0, r, r + 1)))
+                << "softmax n=" << n << " row=" << r;
+        }
+    }
+}
+
+TEST(VecMath, FusedTanhSigmoidProgramMatchesUnfusedOps)
+{
+    // r2 = tanh(r0); r3 = sigmoid(r1); r4 = r2 * r3
+    graph::oplib::FusedElementwiseSpec spec;
+    spec.num_inputs = 2;
+    spec.num_regs = 5;
+    spec.out_reg = 4;
+    spec.program = {{graph::EwOpcode::kTanh, 2, 0, -1, 0.0f},
+                    {graph::EwOpcode::kSigmoid, 3, 1, -1, 0.0f},
+                    {graph::EwOpcode::kMul, 4, 2, 3, 0.0f}};
+    spec.fused_ops = "tanh,sigmoid,mul";
+    const graph::oplib::FusedElementwiseOp op(spec);
+    // Odd lengths: scalar tails, the 512-element interpreter block
+    // boundary, and (20001) a parallel split.  The two inputs never hold
+    // NaN at the same index: with a NaN in both operands of the mul,
+    // which one propagates depends on the operand order the compiler
+    // picks.
+    for (int64_t n : {1, 3, 15, 67, 511, 513, 1031, 20001}) {
+        const Tensor a = laneInputs(n, -12.0f, 12.0f, 300 + n);
+        const Tensor b = laneInputs(n, -30.0f, 30.0f, 400 + n, 2);
+        std::vector<Tensor> out(1);
+        op.forward({a, b}, out);
+        EXPECT_TRUE(sameBytes(out[0],
+                              ops::mul(ops::tanh(a), ops::sigmoid(b))))
+            << "n=" << n;
+    }
 }
 
 TEST(Broadcast, AddBTAndSumAxis1RoundTrip)

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <unordered_map>
+#include <utility>
 
 #include "graph/schedule.h"
 
@@ -230,39 +232,36 @@ detectParallelHazards(const ParallelTopology &topo)
     return report;
 }
 
-AnalysisReport
-detectWorkspaceAliasing(const std::vector<SlotInterval> &journal,
-                        int num_slots)
+AnalysisReport auditSlotRecycling(const std::vector<SlotLease> &journal,
+                                  int num_slots)
 {
     AnalysisReport report;
-    // Group intervals by (pool, slot); overlap within one group means
-    // two requests shared a workspace row while both were live.
-    std::unordered_map<int64_t, std::vector<const SlotInterval *>>
+    // Group leases by (pool, slot); overlap within one group means two
+    // requests shared a workspace row while both were live.  The pair
+    // key takes any pool value a journal file can hold.
+    std::map<std::pair<int64_t, int>, std::vector<const SlotLease *>>
         by_slot;
-    for (const SlotInterval &iv : journal) {
-        if (iv.slot < 0 || iv.slot >= num_slots) {
+    for (const SlotLease &lease : journal) {
+        if (lease.slot < 0 || lease.slot >= num_slots) {
             report.add(Check::kSlotOutOfRange, Severity::kError,
-                       "request " + std::to_string(iv.request_id) +
+                       "request " + std::to_string(lease.request_id) +
                            " mapped to slot " +
-                           std::to_string(iv.slot) +
-                           " outside [0, " +
+                           std::to_string(lease.slot) + " outside [0, " +
                            std::to_string(num_slots) + ")");
             continue;
         }
-        const int64_t key =
-            iv.pool * static_cast<int64_t>(num_slots) + iv.slot;
-        by_slot[key].push_back(&iv);
+        by_slot[{lease.pool, lease.slot}].push_back(&lease);
     }
-    for (auto &[key, ivs] : by_slot) {
-        std::sort(ivs.begin(), ivs.end(),
-                  [](const SlotInterval *a, const SlotInterval *b) {
+    for (auto &[key, leases] : by_slot) {
+        std::sort(leases.begin(), leases.end(),
+                  [](const SlotLease *a, const SlotLease *b) {
                       return a->acquired != b->acquired
                                  ? a->acquired < b->acquired
                                  : a->request_id < b->request_id;
                   });
-        for (size_t i = 1; i < ivs.size(); ++i) {
-            const SlotInterval &prev = *ivs[i - 1];
-            const SlotInterval &cur = *ivs[i];
+        for (size_t i = 1; i < leases.size(); ++i) {
+            const SlotLease &prev = *leases[i - 1];
+            const SlotLease &cur = *leases[i];
             if (cur.acquired < prev.released) {
                 report.add(
                     Check::kSlotAliasing, Severity::kError,
@@ -270,7 +269,7 @@ detectWorkspaceAliasing(const std::vector<SlotInterval> &journal,
                         " and " + std::to_string(cur.request_id) +
                         " both live on pool " +
                         std::to_string(cur.pool) + " slot " +
-                        std::to_string(cur.slot) + " over batches [" +
+                        std::to_string(cur.slot) + " over passes [" +
                         std::to_string(cur.acquired) + ", " +
                         std::to_string(
                             std::min(prev.released, cur.released)) +
@@ -278,22 +277,6 @@ detectWorkspaceAliasing(const std::vector<SlotInterval> &journal,
             }
         }
     }
-    return report;
-}
-
-AnalysisReport auditSlotRecycling(const std::vector<SlotLease> &journal,
-                                  int num_slots)
-{
-    // Exclusivity and range reuse the interval checker verbatim: a
-    // lease is a SlotInterval plus lifecycle facts.
-    std::vector<SlotInterval> intervals;
-    intervals.reserve(journal.size());
-    for (const SlotLease &lease : journal) {
-        intervals.push_back(SlotInterval{lease.request_id, lease.pool,
-                                         lease.slot, lease.acquired,
-                                         lease.released});
-    }
-    AnalysisReport report = detectWorkspaceAliasing(intervals, num_slots);
 
     std::unordered_map<int64_t, int> leases_per_request;
     for (const SlotLease &lease : journal) {

@@ -50,32 +50,6 @@ ParallelTopology buildTopology(const std::vector<graph::Val> &fetches);
 /** Check @p topo for ready-queue races. */
 AnalysisReport detectParallelHazards(const ParallelTopology &topo);
 
-/**
- * One workspace-slot occupancy recorded by the serving batcher:
- * request @p request_id held row @p slot of pool @p pool (one pool per
- * length bucket) from batch sequence number @p acquired inclusive to
- * @p released exclusive.  The serving layer's padded-slot determinism
- * argument requires each live request to own its row exclusively, so
- * two requests whose intervals overlap on one (pool, slot) is a
- * correctness bug, not a performance bug.
- */
-struct SlotInterval
-{
-    int64_t request_id = -1;
-    int64_t pool = 0;
-    int slot = -1;
-    int64_t acquired = 0;
-    int64_t released = 0;
-};
-
-/**
- * Check a serving workspace journal: every interval's slot must lie in
- * [0, num_slots), and no two requests may overlap on one (pool, slot).
- */
-AnalysisReport
-detectWorkspaceAliasing(const std::vector<SlotInterval> &journal,
-                        int num_slots);
-
 /** Terminal outcome of one slot lease (how the occupancy ended). */
 enum class LeaseStatus {
     kServed = 0,   ///< ran to EOS / length cap; payload delivered
@@ -84,12 +58,15 @@ enum class LeaseStatus {
 };
 
 /**
- * One slot occupancy recorded by the continuous scheduler.  Compared to
- * the run-to-completion SlotInterval, a lease carries the lifecycle
- * facts the recycling scheduler must get right: whether the state rows
- * were re-initialized when the request was spliced in (@p reinit), and
- * how the occupancy terminated (@p status).  Interval bounds are in
- * scheduler-iteration units, half-open [acquired, released).
+ * One slot occupancy recorded by the continuous scheduler: request
+ * @p request_id held row @p slot of pool @p pool over scheduler passes
+ * [acquired, released).  The serving layer's padded-slot determinism
+ * argument requires each live request to own its row exclusively, so
+ * two requests overlapping on one (pool, slot) is a correctness bug,
+ * not a performance bug.  A lease also carries the lifecycle facts the
+ * recycling scheduler must get right: whether the state rows were
+ * re-initialized when the request was spliced in (@p reinit), and how
+ * the occupancy terminated (@p status).
  */
 struct SlotLease
 {
@@ -105,8 +82,8 @@ struct SlotLease
 
 /**
  * Audit a continuous-batching slot-recycling journal:
- *  - exclusivity: no two leases overlap on one (pool, slot), and every
- *    slot lies in range (delegates to detectWorkspaceAliasing),
+ *  - exclusivity: every slot lies in [0, num_slots), and no two leases
+ *    overlap on one (pool, slot),
  *  - no state leakage: every lease must have re-initialized its state
  *    rows at splice time (reinit == 1), else the new occupant inherited
  *    the previous request's hidden state,

@@ -213,9 +213,9 @@ class VerifyPass : public Pass
     void run(PipelineContext &) override {}
     std::vector<std::string> postconditionCheckers() const override
     {
-        return {"graph-verify",  "lifetime",        "hazards",
-                "fusion-audit",  "recompute-audit", "workspace-aliasing",
-                "memory-plan",   "plan-feasible"};
+        return {"graph-verify",    "lifetime",    "hazards",
+                "fusion-audit",    "recompute-audit", "memory-plan",
+                "plan-feasible"};
     }
 };
 

@@ -133,15 +133,6 @@ checkRecomputeAudit(const PipelineContext &ctx)
 }
 
 analysis::AnalysisReport
-checkWorkspaceAliasing(const PipelineContext &ctx)
-{
-    if (ctx.serve_journal.empty())
-        return {};
-    return analysis::detectWorkspaceAliasing(ctx.serve_journal,
-                                             ctx.serve_slots);
-}
-
-analysis::AnalysisReport
 checkMemoryPlan(const PipelineContext &ctx)
 {
     // Only meaningful while a memory plan claims to describe the
@@ -231,9 +222,8 @@ checkPlanFeasible(const PipelineContext &ctx)
 /** Canonical replay order: the structural verifier first (the others
  *  defer to it), then schedule analyses, then the pass audits. */
 const char *const kBuiltinCheckerOrder[] = {
-    "graph-verify",       "lifetime",        "hazards",
-    "fusion-audit",       "recompute-audit", "workspace-aliasing",
-    "memory-plan",        "plan-feasible",
+    "graph-verify",    "lifetime",    "hazards",       "fusion-audit",
+    "recompute-audit", "memory-plan", "plan-feasible",
 };
 
 std::once_flag builtin_checkers_once;
@@ -247,7 +237,6 @@ ensureBuiltinCheckers()
         registerChecker("hazards", checkHazards);
         registerChecker("fusion-audit", checkFusionAudit);
         registerChecker("recompute-audit", checkRecomputeAudit);
-        registerChecker("workspace-aliasing", checkWorkspaceAliasing);
         registerChecker("memory-plan", checkMemoryPlan);
         registerChecker("plan-feasible", checkPlanFeasible);
     });

@@ -17,8 +17,8 @@
  *  (b) runs the matching analysis:: checkers as machine-checked
  *      postconditions after each pass (graph verifier, lifetime
  *      analyzer, hazard detector, auditFusion, auditRecomputePass,
- *      workspace-aliasing — see the checker registry), never trusting a
- *      transform's own bookkeeping;
+ *      memory-plan replay — see the checker registry), never trusting
+ *      a transform's own bookkeeping;
  *
  *  (c) records a per-pass IR snapshot diff (node / reachable / value /
  *      byte deltas) through obs spans and counters, so a trace of a
@@ -103,11 +103,6 @@ struct PipelineContext
     budget::BudgetConfig budget_config;
     budget::BudgetPlan budget_plan;
     bool has_budget_plan = false;
-
-    /** Serving workspace journal, for the workspace-aliasing checker
-     *  (empty outside serving replays). */
-    std::vector<analysis::SlotInterval> serve_journal;
-    int serve_slots = 0;
 
     /** Invariants currently established.  Seeded by PassManager::run
      *  from initialInvariants() and maintained across passes; checkers

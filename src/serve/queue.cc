@@ -120,15 +120,6 @@ RequestQueue::tryPop(Request &out)
     return true;
 }
 
-bool
-RequestQueue::waitNonEmpty(std::chrono::microseconds timeout)
-{
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait_for(lock, timeout,
-                 [&] { return closed_ || !items_.empty(); });
-    return !items_.empty();
-}
-
 void
 RequestQueue::close()
 {

@@ -5,8 +5,8 @@
  * Producers (client threads calling Server::submit) tryPush and are
  * told synchronously when the queue is full — backpressure is a
  * reject-with-reason, never a blocking producer.  The consumer (the
- * batcher) pops blockingly and can wait with a deadline so batch
- * deadlines do not turn into busy polling.
+ * scheduler) drains with tryPop between step passes and blocks in pop
+ * only when it has nothing else to do.
  *
  * close() makes every subsequent tryPush fail with kShutdown and wakes
  * all waiting consumers; pop() keeps draining what was admitted before
@@ -15,7 +15,6 @@
 #ifndef ECHO_SERVE_QUEUE_H
 #define ECHO_SERVE_QUEUE_H
 
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -59,12 +58,6 @@ class RequestQueue
 
     /** Pop without blocking; false when empty. */
     bool tryPop(Request &out);
-
-    /**
-     * Block until the queue is non-empty, closed, or @p timeout
-     * elapsed.  True when an item is available.
-     */
-    bool waitNonEmpty(std::chrono::microseconds timeout);
 
     /** Stop admitting; wake every waiter.  Idempotent. */
     void close();

@@ -5,12 +5,12 @@
  * A Request is one user-visible unit of work: an NMT source sentence
  * to translate (greedy or beam), or a word-LM prefix to score.  The
  * server assigns ids and timestamps at admission; everything after
- * that — batching, decoding, response delivery — is keyed on the id.
+ * that — scheduling, decoding, response delivery — is keyed on the id.
  *
  * The determinism contract: a request's Response payload (tokens and
  * scores) is a pure function of the request and the model parameters —
  * byte-identical regardless of which other requests shared its
- * micro-batch, which length bucket padding it rode in, and how many
+ * step graph, which length bucket padding it rode in, and how many
  * threads executed the graph.  Latency fields are diagnostics and are
  * exempt.
  */
@@ -90,6 +90,28 @@ struct Request
     std::chrono::steady_clock::time_point enqueued_at{};
 };
 
+/**
+ * Smallest of the ascending length @p buckets holding @p len, or -1
+ * when none does.  Step graphs are built once per bucket, so a
+ * request's bucket is a pure function of its own length.
+ */
+inline int64_t
+bucketForLength(const std::vector<int64_t> &buckets, int64_t len)
+{
+    for (int64_t b : buckets)
+        if (len <= b)
+            return b;
+    return -1;
+}
+
+/** One fixed-shape unit of decoding work: every request padded to
+ *  @c bucket_len, at most one per session slot. */
+struct MicroBatch
+{
+    int64_t bucket_len = 0;
+    std::vector<Request> requests;
+};
+
 /** The answer to one Request. */
 struct Response
 {
@@ -109,8 +131,8 @@ struct Response
 
     // Diagnostics (not covered by the determinism contract).
     double latency_us = 0.0;     ///< admission -> response
-    double wait_us = 0.0;        ///< admission -> batch emission / splice
-    int64_t batch_requests = 0;  ///< live requests in its micro-batch
+    double wait_us = 0.0;        ///< admission -> splice / direct decode
+    int64_t batch_requests = 0;  ///< live rows in its last step (1: direct)
     int64_t bucket_len = 0;      ///< length bucket it was padded to
 };
 

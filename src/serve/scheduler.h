@@ -1,7 +1,7 @@
 /**
  * @file
- * The continuous (iteration-level) scheduler: the run-to-completion
- * micro-batch loop's replacement.
+ * The continuous (iteration-level) scheduler: the server's serving
+ * loop.
  *
  * One pass of the loop: drain the queue, apply cancellations and
  * deadline expiries (waiting AND running), splice waiting requests
@@ -35,6 +35,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "analysis/hazards.h"
 #include "serve/queue.h"
 #include "serve/session.h"
 

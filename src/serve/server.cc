@@ -4,7 +4,6 @@
 
 #include "core/logging.h"
 #include "obs/counters.h"
-#include "obs/trace.h"
 
 namespace echo::serve {
 
@@ -28,6 +27,15 @@ singleton(std::unique_ptr<InferenceSession> session)
     return sessions;
 }
 
+std::vector<InferenceSession *>
+borrow(const std::vector<std::unique_ptr<InferenceSession>> &sessions)
+{
+    std::vector<InferenceSession *> borrowed;
+    for (const auto &session : sessions)
+        borrowed.push_back(session.get());
+    return borrowed;
+}
+
 } // namespace
 
 Server::Server(std::unique_ptr<InferenceSession> session,
@@ -39,26 +47,11 @@ Server::Server(std::unique_ptr<InferenceSession> session,
 Server::Server(std::vector<std::unique_ptr<InferenceSession>> sessions,
                ServerConfig config)
     : sessions_(std::move(sessions)), config_(config),
-      queue_(config_.queue_capacity, shedLine(config_))
+      queue_(config_.queue_capacity, shedLine(config_)),
+      scheduler_(borrow(sessions_), queue_,
+                 [this](Response resp) { resolveResponse(std::move(resp)); })
 {
-    ECHO_REQUIRE(!sessions_.empty(), "server needs a session");
-    for (const auto &session : sessions_)
-        ECHO_REQUIRE(session != nullptr, "server got a null session");
-    if (config_.scheduler == SchedulerKind::kContinuous) {
-        std::vector<InferenceSession *> borrowed;
-        for (const auto &session : sessions_)
-            borrowed.push_back(session.get());
-        scheduler_ = std::make_unique<ContinuousScheduler>(
-            std::move(borrowed), queue_,
-            [this](Response resp) { resolveResponse(std::move(resp)); });
-        worker_ = std::thread([this] { scheduler_->run(); });
-    } else {
-        ECHO_REQUIRE(sessions_.size() == 1,
-                     "the run-to-completion batcher drives a single "
-                     "session; use SchedulerKind::kContinuous for "
-                     "mixed traffic");
-        worker_ = std::thread([this] { batchWorkerLoop(); });
-    }
+    worker_ = std::thread([this] { scheduler_.run(); });
 }
 
 Server::~Server()
@@ -144,8 +137,6 @@ Server::submit(Request r)
 bool
 Server::cancel(int64_t id)
 {
-    if (scheduler_ == nullptr)
-        return false;
     // Forward only ids still inflight: the scheduler retains a cancel
     // until the id terminates, so a cancel for an already-resolved (or
     // never-admitted) request must not enter its set.
@@ -154,7 +145,7 @@ Server::cancel(int64_t id)
         if (inflight_.find(id) == inflight_.end())
             return false;
     }
-    scheduler_->cancel(id);
+    scheduler_.cancel(id);
     return true;
 }
 
@@ -182,75 +173,6 @@ Server::resolveResponse(Response resp)
 }
 
 void
-Server::batchWorkerLoop()
-{
-    static obs::Counter &completed_ctr = obs::counter(
-        "serve.requests.completed", obs::CounterKind::kScheduling);
-    static obs::Counter &batch_ctr = obs::counter(
-        "serve.batches", obs::CounterKind::kScheduling);
-
-    InferenceSession &session = *sessions_.front();
-    BatcherConfig bcfg;
-    bcfg.max_batch = session.config().slots;
-    bcfg.max_wait = config_.max_wait;
-    bcfg.buckets = session.config().buckets;
-    DynamicBatcher batcher(bcfg, queue_);
-
-    MicroBatch mb;
-    std::vector<Response> responses;
-    while (batcher.next(mb)) {
-        obs::Span span;
-        if (obs::traceEnabled())
-            span.begin("serve", "micro_batch",
-                       {{"requests",
-                         static_cast<int64_t>(mb.requests.size())},
-                        {"bucket", mb.bucket_len}});
-        // Queue-wait ends at emission, exactly once per request: a
-        // request is in exactly one emitted batch, however long it sat
-        // in pending_ across earlier flushes of other buckets.
-        const auto emitted_at = std::chrono::steady_clock::now();
-        session.runBatch(mb, responses);
-        const auto now = std::chrono::steady_clock::now();
-
-        batch_ctr.add(1);
-        completed_ctr.add(static_cast<int64_t>(responses.size()));
-        {
-            std::lock_guard<std::mutex> lock(stats_mu_);
-            ++batches_;
-            batched_requests_ +=
-                static_cast<int64_t>(mb.requests.size());
-            completed_ += static_cast<int64_t>(responses.size());
-            for (size_t i = 0; i < responses.size(); ++i) {
-                const double us =
-                    std::chrono::duration_cast<
-                        std::chrono::nanoseconds>(
-                        now - mb.requests[i].enqueued_at)
-                        .count() /
-                    1000.0;
-                const double wait =
-                    std::chrono::duration_cast<
-                        std::chrono::nanoseconds>(
-                        emitted_at - mb.requests[i].enqueued_at)
-                        .count() /
-                    1000.0;
-                responses[i].latency_us = us;
-                responses[i].wait_us = wait;
-                latency_us_.add(us);
-                wait_us_.add(wait);
-            }
-        }
-        std::lock_guard<std::mutex> lock(inflight_mu_);
-        for (Response &resp : responses) {
-            auto it = inflight_.find(resp.id);
-            ECHO_CHECK(it != inflight_.end(),
-                       "response for unknown request ", resp.id);
-            it->second.set_value(std::move(resp));
-            inflight_.erase(it);
-        }
-    }
-}
-
-void
 Server::stop()
 {
     queue_.close();
@@ -268,23 +190,14 @@ Server::stats() const
     s.completed = completed_;
     s.cancelled = cancelled_;
     s.expired = expired_;
-    if (scheduler_ != nullptr) {
-        const SchedulerStats sched = scheduler_->stats();
-        s.batches = sched.steps + sched.direct;
-        s.mean_batch_requests =
-            sched.steps == 0
-                ? 0.0
-                : static_cast<double>(sched.stepped_rows) /
-                      static_cast<double>(sched.steps);
-        s.splices = sched.splices;
-        s.recycled_slots = sched.recycled;
-    } else {
-        s.batches = batches_;
-        s.mean_batch_requests =
-            batches_ == 0 ? 0.0
-                          : static_cast<double>(batched_requests_) /
-                                static_cast<double>(batches_);
-    }
+    const SchedulerStats sched = scheduler_.stats();
+    s.batches = sched.steps + sched.direct;
+    s.mean_batch_requests =
+        sched.steps == 0 ? 0.0
+                         : static_cast<double>(sched.stepped_rows) /
+                               static_cast<double>(sched.steps);
+    s.splices = sched.splices;
+    s.recycled_slots = sched.recycled;
     s.latency_mean_us = latency_us_.mean();
     s.latency_p50_us = latency_us_.p50();
     s.latency_p95_us = latency_us_.p95();
@@ -300,10 +213,7 @@ Server::stats() const
 std::vector<analysis::SlotLease>
 Server::leaseJournal() const
 {
-    ECHO_REQUIRE(scheduler_ != nullptr,
-                 "the slot-recycling journal exists only under "
-                 "SchedulerKind::kContinuous");
-    return scheduler_->leaseJournal();
+    return scheduler_.leaseJournal();
 }
 
 int64_t

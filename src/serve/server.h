@@ -1,8 +1,7 @@
 /**
  * @file
- * The serving front end: admission, a worker thread driving either the
- * continuous (iteration-level) scheduler or the legacy run-to-completion
- * dynamic batcher, and latency/wait accounting.
+ * The serving front end: admission, a worker thread driving the
+ * continuous (iteration-level) scheduler, and latency/wait accounting.
  *
  * submit() is thread-safe and non-blocking: invalid or over-capacity
  * requests resolve their future immediately with a RejectReason;
@@ -30,33 +29,29 @@
 #include <unordered_map>
 
 #include "core/stats.h"
-#include "serve/batcher.h"
 #include "serve/queue.h"
 #include "serve/scheduler.h"
 #include "serve/session.h"
 
 namespace echo::serve {
 
-/** Which scheduling loop the worker runs. */
+/**
+ * The scheduling loop the worker runs.  Iteration-level scheduling is
+ * the only one: slots recycle on EOS and waiting requests splice into
+ * running step graphs mid-flight.  The enum and
+ * ServerConfig::scheduler remain only because the benchmark harness
+ * (perfbench/serve.cc) names them; drop both with its next change.
+ */
 enum class SchedulerKind
 {
-    /** Iteration-level: slots recycle on EOS, waiting requests splice
-     *  into running step graphs mid-flight.  The default. */
     kContinuous,
-    /** Legacy run-to-completion micro-batches (the differential
-     *  reference, and the baseline the open-loop bench compares). */
-    kDynamicBatch,
 };
 
-/** Server-level knobs (batching policy rides along). */
+/** Server-level knobs. */
 struct ServerConfig
 {
     /** Admission-queue capacity; pushes beyond it reject. */
     size_t queue_capacity = 64;
-
-    /** kDynamicBatch only: how long the oldest pending request may
-     *  wait for same-bucket companions. */
-    std::chrono::microseconds max_wait{2000};
 
     SchedulerKind scheduler = SchedulerKind::kContinuous;
 
@@ -74,19 +69,19 @@ struct ServerStats
     int64_t completed = 0; ///< payloads delivered (ok responses)
     int64_t cancelled = 0; ///< admitted, then cancelled by the client
     int64_t expired = 0;   ///< admitted, then deadline budget ran out
-    /** kDynamicBatch: micro-batches run.  kContinuous: scheduler step
-     *  passes plus atomic direct decodes. */
+    /** Scheduler step passes plus atomic direct decodes. */
     int64_t batches = 0;
+    /** Mean live rows per step pass. */
     double mean_batch_requests = 0.0;
-    /** kContinuous only: splices, and splices into recycled slots. */
+    /** Splices, and splices into recycled slots. */
     int64_t splices = 0;
     int64_t recycled_slots = 0;
     double latency_mean_us = 0.0;
     double latency_p50_us = 0.0;
     double latency_p95_us = 0.0;
     double latency_p99_us = 0.0;
-    /** Admission -> emission/splice, recorded exactly once per
-     *  completed request (wait_count == completed). */
+    /** Admission -> splice (or direct decode), recorded exactly once
+     *  per completed request (wait_count == completed). */
     int64_t wait_count = 0;
     double wait_mean_us = 0.0;
     double wait_p50_us = 0.0;
@@ -116,10 +111,9 @@ class Server
     std::future<Response> submit(Request r);
 
     /**
-     * Best-effort cancellation (kContinuous only): an admitted request
-     * resolves kCancelled — whether it is still queued, waiting, or
-     * mid-decode (evicted, its slot recycled).  False when the
-     * scheduler cannot cancel (legacy mode) or the id is no longer
+     * Best-effort cancellation: an admitted request resolves
+     * kCancelled — whether it is still queued, waiting, or mid-decode
+     * (evicted, its slot recycled).  False when the id is no longer
      * inflight (already resolved, or never admitted) — a harmless
      * no-op; the request's outcome is unchanged.
      */
@@ -139,23 +133,21 @@ class Server
         return *sessions_.at(i);
     }
 
-    /** kContinuous: the slot-recycling journal (pools offset per
-     *  session) for echo-lint --serve-journal.  Complete after
-     *  stop(). */
+    /** The slot-recycling journal (pools offset per session) for
+     *  echo-lint --serve-journal.  Complete after stop(). */
     std::vector<analysis::SlotLease> leaseJournal() const;
 
     /** The --serve-slots value matching leaseJournal(). */
     int64_t journalSlots() const;
 
   private:
-    void batchWorkerLoop();
     void resolveResponse(Response resp);
     Response rejected(const Request &r, RejectReason reason) const;
 
     std::vector<std::unique_ptr<InferenceSession>> sessions_;
     ServerConfig config_;
     RequestQueue queue_;
-    std::unique_ptr<ContinuousScheduler> scheduler_;
+    ContinuousScheduler scheduler_;
 
     std::mutex inflight_mu_;
     std::unordered_map<int64_t, std::promise<Response>> inflight_;
@@ -169,8 +161,6 @@ class Server
     int64_t completed_ = 0;
     int64_t cancelled_ = 0;
     int64_t expired_ = 0;
-    int64_t batches_ = 0;
-    int64_t batched_requests_ = 0;
 
     std::thread worker_;
 };

@@ -20,7 +20,7 @@ using models::ParamStore;
 
 /**
  * The word-LM payload: top-k next-token ids and log-probabilities of
- * row @p r of @p logits.  One function serves the run-to-completion
+ * row @p r of @p logits.  One function serves the one-shot (runBatch)
  * and continuous paths so their payload bytes agree by construction.
  */
 void
@@ -161,22 +161,6 @@ InferenceSession::runDirect(const Request &r)
     return std::move(out.front());
 }
 
-void
-InferenceSession::journalBatch(const MicroBatch &mb)
-{
-    const int64_t pool = bucketIndex(mb.bucket_len);
-    for (size_t i = 0; i < mb.requests.size(); ++i) {
-        analysis::SlotInterval iv;
-        iv.request_id = mb.requests[i].id;
-        iv.pool = pool;
-        iv.slot = static_cast<int>(i);
-        iv.acquired = batch_seq_;
-        iv.released = batch_seq_ + 1;
-        journal_.push_back(iv);
-    }
-    ++batch_seq_;
-}
-
 std::unique_ptr<InferenceSession>
 InferenceSession::fromCheckpoint(const std::string &path,
                                  const SessionConfig &config)
@@ -240,7 +224,6 @@ void
 WordLmSession::runBatch(const MicroBatch &mb, std::vector<Response> &out)
 {
     validateBatch(mb, config_);
-    journalBatch(mb);
     obs::Span span;
     if (obs::traceEnabled())
         span.begin("serve", "lm_batch",
@@ -543,7 +526,7 @@ NmtSession::stepLane(int lane_idx, std::vector<LaneFinish> &out)
     for (int64_t r = 0; r < b; ++r) {
         // Deterministic argmax (first maximum) on every row, live or
         // not, so the fed-back token stream is a pure function of the
-        // row — identical to the run-to-completion loop.
+        // row — identical to runBatch's decode loop.
         int64_t best = 0;
         float best_score = logits.at(r, 0);
         for (int64_t j = 1; j < mcfg_.tgt_vocab; ++j)
@@ -594,7 +577,6 @@ void
 NmtSession::runBatch(const MicroBatch &mb, std::vector<Response> &out)
 {
     validateBatch(mb, config_);
-    journalBatch(mb);
     obs::Span span;
     if (obs::traceEnabled())
         span.begin("serve", "nmt_batch",

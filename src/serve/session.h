@@ -14,10 +14,6 @@
  * request's response payload is byte-identical whether it ran alone or
  * alongside seven neighbours, at any thread count.
  *
- * Each runBatch() appends per-request workspace-slot occupancy
- * intervals to a journal; analysis::detectWorkspaceAliasing() verifies
- * no two live requests ever shared a slot (echo-lint --serve-journal).
- *
  * Config inference: fromCheckpoint() reconstructs the model
  * hyperparameters from tensor names and shapes (vocab/hidden/layers,
  * encoder directionality).  Structure flags that leave no trace in the
@@ -31,10 +27,8 @@
 #include <string>
 #include <vector>
 
-#include "analysis/hazards.h"
 #include "models/nmt.h"
 #include "models/word_lm.h"
-#include "serve/batcher.h"
 #include "serve/request.h"
 
 namespace echo::serve {
@@ -42,10 +36,10 @@ namespace echo::serve {
 /** Session-wide serving parameters. */
 struct SessionConfig
 {
-    /** Rows per micro-batch graph (= batcher max_batch). */
+    /** Rows per step graph (lane). */
     int64_t slots = 8;
 
-    /** Ascending padded source/prefix lengths (= batcher buckets). */
+    /** Ascending padded source/prefix lengths. */
     std::vector<int64_t> buckets = {8, 16, 32};
 
     /** Decoder rows reserved for beam requests; request widths are
@@ -142,12 +136,6 @@ class InferenceSession
      *  differential reference).  Byte-identical to a solo runBatch. */
     Response runDirect(const Request &r);
 
-    /** Workspace occupancy of every batch run so far. */
-    const std::vector<analysis::SlotInterval> &slotJournal() const
-    {
-        return journal_;
-    }
-
     /**
      * Load @p path and build the right session for the checkpoint's
      * model family (word LM / NMT), inferring hyperparameters from the
@@ -159,15 +147,10 @@ class InferenceSession
   protected:
     explicit InferenceSession(SessionConfig config);
 
-    /** Record the (pool=bucket index, slot=row) occupancy of @p mb. */
-    void journalBatch(const MicroBatch &mb);
-
     /** Index of @p bucket_len in config().buckets (fatal if absent). */
     int64_t bucketIndex(int64_t bucket_len) const;
 
     SessionConfig config_;
-    std::vector<analysis::SlotInterval> journal_;
-    int64_t batch_seq_ = 0;
 };
 
 /** Word-LM serving: next-token top-k scoring for a prefix. */

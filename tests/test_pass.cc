@@ -140,7 +140,7 @@ TEST(PassRegistry, BuiltinCheckersResolvable)
 {
     for (const char *name :
          {"graph-verify", "lifetime", "hazards", "fusion-audit",
-          "recompute-audit", "workspace-aliasing"}) {
+          "recompute-audit", "memory-plan", "plan-feasible"}) {
         EXPECT_NE(findChecker(name), nullptr) << name;
     }
     EXPECT_EQ(findChecker("bogus-checker"), nullptr);

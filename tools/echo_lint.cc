@@ -11,11 +11,13 @@
  * can gate on it.  --dot=PATH additionally dumps the violating
  * subgraph of the first failing graph as Graphviz.
  *
- * A second mode checks serving workspace journals (written by
- * echo-serve --journal=PATH): --serve-journal=PATH parses the slot
- * occupancy intervals and runs the slot-aliasing detector — no two
- * live requests may ever share a (pool, slot) row.  This mode replaces
- * the graph lints; exit status is 0 when the journal is clean.
+ * A second mode checks serving slot-lease journals (written by
+ * echo-serve --journal=PATH): --serve-journal=PATH parses the
+ * continuous scheduler's leases and runs the slot-recycling audit — no
+ * two live requests may ever share a (pool, slot) row, every splice
+ * re-initializes the row's state, and every request terminates exactly
+ * once.  This mode replaces the graph lints; exit status is 0 when the
+ * journal is clean, 1 on audit errors, and 2 on a malformed line.
  *
  * A third mode replays an arbitrary pass pipeline under the contract
  * checker: --pipeline=SPEC (comma-separated pass names, or "default"
@@ -193,16 +195,13 @@ parseLeaseStatus(const std::string &token, analysis::LeaseStatus *out)
 }
 
 /**
- * Lint a serving workspace journal ('#' comments allowed).  Two line
- * formats, auto-detected:
- *  - legacy run-to-completion intervals (echo-serve --journal):
- *      "request_id pool slot acquired released"
- *  - continuous-scheduler slot leases:
- *      "request_id pool slot acquired released reinit status"
- *    where status is served|cancelled|expired (or 0|1|2).
- * Any lease line switches the whole journal to the slot-recycling
- * audit (exclusivity + state-leak + lifecycle); otherwise only the
- * aliasing/range check runs.
+ * Lint a serving slot-lease journal ('#' comments allowed), as written
+ * by echo-serve --journal.  Every non-comment line is exactly
+ *     "request_id pool slot acquired released reinit status"
+ * where status is served|cancelled|expired (or 0|1|2); a line with
+ * fewer or more fields is malformed (exit 2).  The journal gets the
+ * slot-recycling audit: exclusivity, state re-initialization and
+ * exactly-once termination.
  */
 int
 lintServeJournal(const LintOptions &opts)
@@ -214,7 +213,6 @@ lintServeJournal(const LintOptions &opts)
         return 2;
     }
     std::vector<analysis::SlotLease> journal;
-    bool any_lease_line = false;
     std::string line;
     size_t line_no = 0;
     while (std::getline(in, line)) {
@@ -223,40 +221,27 @@ lintServeJournal(const LintOptions &opts)
             continue;
         std::istringstream fields(line);
         analysis::SlotLease lease;
+        std::string status, extra;
         if (!(fields >> lease.request_id >> lease.pool >> lease.slot >>
-              lease.acquired >> lease.released)) {
+              lease.acquired >> lease.released >> lease.reinit >>
+              status) ||
+            fields >> extra) {
             std::cerr << "echo-lint: " << opts.serve_journal << ":"
                       << line_no << ": malformed journal line\n";
             return 2;
         }
-        std::string status;
-        if (fields >> lease.reinit >> status) {
-            if (!parseLeaseStatus(status, &lease.status)) {
-                std::cerr << "echo-lint: " << opts.serve_journal << ":"
-                          << line_no << ": bad lease status '" << status
-                          << "'\n";
-                return 2;
-            }
-            any_lease_line = true;
+        if (!parseLeaseStatus(status, &lease.status)) {
+            std::cerr << "echo-lint: " << opts.serve_journal << ":"
+                      << line_no << ": bad lease status '" << status
+                      << "'\n";
+            return 2;
         }
         journal.push_back(lease);
     }
 
-    analysis::AnalysisReport report;
-    if (any_lease_line) {
-        report = analysis::auditSlotRecycling(journal, opts.serve_slots);
-    } else {
-        std::vector<analysis::SlotInterval> intervals;
-        intervals.reserve(journal.size());
-        for (const analysis::SlotLease &lease : journal)
-            intervals.push_back(analysis::SlotInterval{
-                lease.request_id, lease.pool, lease.slot, lease.acquired,
-                lease.released});
-        report =
-            analysis::detectWorkspaceAliasing(intervals, opts.serve_slots);
-    }
-    std::cout << "== serve journal (" << journal.size()
-              << (any_lease_line ? " leases, " : " intervals, ")
+    const analysis::AnalysisReport report =
+        analysis::auditSlotRecycling(journal, opts.serve_slots);
+    std::cout << "== serve journal (" << journal.size() << " leases, "
               << opts.serve_slots << " slots): ";
     if (report.diagnostics.empty()) {
         std::cout << "clean\n";

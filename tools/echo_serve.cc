@@ -18,11 +18,9 @@
  *     deadline-us=5000 12 7      <- deadline budget from admission
  *     cancel-after-us=200 12 7   <- client cancels this id after 200us
  *
- * --journal=PATH dumps the slot-occupancy journal in the format
- * `echo-lint --serve-journal=PATH` checks: slot-recycling leases under
- * the continuous scheduler (the default), plain intervals under
- * --scheduler=batch — closing the loop between the serving layer and
- * the static analyzer.
+ * --journal=PATH dumps the continuous scheduler's slot-recycling leases
+ * in the format `echo-lint --serve-journal=PATH` checks — closing the
+ * loop between the serving layer and the static analyzer.
  *
  * Exit status: 0 when every submitted request resolved as expected
  * (cancelled requests count as expected when a cancel was asked for),
@@ -30,8 +28,7 @@
  *
  * usage: echo-serve --ckpt=PATH[,PATH...] [--requests=FILE] [--slots=N]
  *                   [--buckets=8,16,32] [--beam=K] [--max-new=N]
- *                   [--queue=N] [--max-wait-us=N] [--threads=N]
- *                   [--scheduler=continuous|batch] [--journal=PATH]
+ *                   [--queue=N] [--threads=N] [--journal=PATH]
  */
 #include <chrono>
 #include <fstream>
@@ -109,23 +106,8 @@ parseArgs(int argc, char **argv, ServeOptions &opts)
         } else if (arg.rfind("--queue=", 0) == 0) {
             opts.server.queue_capacity =
                 static_cast<size_t>(std::stoull(arg.substr(8)));
-        } else if (arg.rfind("--max-wait-us=", 0) == 0) {
-            opts.server.max_wait =
-                std::chrono::microseconds(std::stoll(arg.substr(14)));
         } else if (arg.rfind("--threads=", 0) == 0) {
             opts.threads = std::stoi(arg.substr(10));
-        } else if (arg.rfind("--scheduler=", 0) == 0) {
-            const std::string kind = arg.substr(12);
-            if (kind == "continuous") {
-                opts.server.scheduler = serve::SchedulerKind::kContinuous;
-            } else if (kind == "batch") {
-                opts.server.scheduler =
-                    serve::SchedulerKind::kDynamicBatch;
-            } else {
-                std::cerr << "echo-serve: --scheduler must be "
-                             "'continuous' or 'batch'\n";
-                return false;
-            }
         } else {
             std::cerr << "echo-serve: unknown argument " << arg << "\n";
             return false;
@@ -300,28 +282,19 @@ main(int argc, char **argv)
 
     if (!opts.journal_path.empty()) {
         std::ofstream journal(opts.journal_path);
-        if (opts.server.scheduler == serve::SchedulerKind::kContinuous) {
-            journal << "# request_id pool slot acquired released "
-                       "reinit status\n";
-            for (const auto &lease : server.leaseJournal()) {
-                const char *status =
-                    lease.status == analysis::LeaseStatus::kServed
-                        ? "served"
-                        : lease.status ==
-                                  analysis::LeaseStatus::kCancelled
-                              ? "cancelled"
-                              : "expired";
-                journal << lease.request_id << " " << lease.pool << " "
-                        << lease.slot << " " << lease.acquired << " "
-                        << lease.released << " " << lease.reinit << " "
-                        << status << "\n";
-            }
-        } else {
-            journal << "# request_id pool slot acquired released\n";
-            for (const auto &iv : server.session().slotJournal())
-                journal << iv.request_id << " " << iv.pool << " "
-                        << iv.slot << " " << iv.acquired << " "
-                        << iv.released << "\n";
+        journal << "# request_id pool slot acquired released reinit "
+                   "status\n";
+        for (const auto &lease : server.leaseJournal()) {
+            const char *status =
+                lease.status == analysis::LeaseStatus::kServed
+                    ? "served"
+                    : lease.status == analysis::LeaseStatus::kCancelled
+                          ? "cancelled"
+                          : "expired";
+            journal << lease.request_id << " " << lease.pool << " "
+                    << lease.slot << " " << lease.acquired << " "
+                    << lease.released << " " << lease.reinit << " "
+                    << status << "\n";
         }
         std::cout << "journal written to " << opts.journal_path << "\n";
     }

@@ -6,8 +6,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "graph/schedule.h"
-
 namespace echo::analysis {
 
 namespace {
@@ -71,40 +69,6 @@ class PartialOrder
 };
 
 } // namespace
-
-ParallelTopology
-buildTopology(const std::vector<Val> &fetches)
-{
-    ParallelTopology topo;
-    topo.schedule = graph::buildSchedule(fetches);
-    const size_t n = topo.schedule.size();
-    std::unordered_map<const Node *, int> slot_of;
-    slot_of.reserve(n);
-    for (size_t s = 0; s < n; ++s)
-        slot_of[topo.schedule[s]] = static_cast<int>(s);
-
-    topo.input_slots.assign(n, {});
-    topo.in_degree.assign(n, 0);
-    topo.use_counts.assign(n, 0);
-    for (size_t s = 0; s < n; ++s) {
-        const Node *node = topo.schedule[s];
-        for (const Val &v : node->inputs) {
-            auto it = slot_of.find(v.node);
-            const int producer = it == slot_of.end() ? -1 : it->second;
-            topo.input_slots[s].push_back(producer);
-            if (producer >= 0)
-                ++topo.use_counts[static_cast<size_t>(producer)];
-            ++topo.in_degree[s];
-        }
-    }
-    for (const Val &v : fetches) {
-        auto it = slot_of.find(v.node);
-        topo.fetch_slots.push_back(it == slot_of.end() ? -1 : it->second);
-        if (it != slot_of.end())
-            ++topo.use_counts[static_cast<size_t>(it->second)];
-    }
-    return topo;
-}
 
 AnalysisReport
 detectParallelHazards(const ParallelTopology &topo)

@@ -19,33 +19,22 @@
  *    still be reading it).
  *
  * detectParallelHazards() verifies a ParallelTopology against the graph
- * it claims to execute; buildTopology() derives the topology the same
- * way the executor does, so real executors are checked by construction
- * and tests can tamper with the arrays to seed races.
+ * it claims to execute.  graph::buildTopology() is the one derivation of
+ * those arrays — the Executor runs on its result — so real executors
+ * are checked by construction, and tests can tamper with the arrays to
+ * seed races.
  */
 #ifndef ECHO_ANALYSIS_HAZARDS_H
 #define ECHO_ANALYSIS_HAZARDS_H
 
 #include "analysis/report.h"
+#include "graph/schedule.h"
 
 namespace echo::analysis {
 
 /** The dense slot topology the parallel executor runs on. */
-struct ParallelTopology
-{
-    std::vector<graph::Node *> schedule;
-    /** Producer slot of each input edge, aligned with node->inputs. */
-    std::vector<std::vector<int>> input_slots;
-    /** Input-edge count per slot (the ready condition). */
-    std::vector<int> in_degree;
-    /** Remaining-use counts per slot (consumers + fetch references). */
-    std::vector<int> use_counts;
-    /** Slot of each fetch. */
-    std::vector<int> fetch_slots;
-};
-
-/** Derive the topology for @p fetches exactly like the executor does. */
-ParallelTopology buildTopology(const std::vector<graph::Val> &fetches);
+using ParallelTopology = graph::SlotTopology;
+using graph::buildTopology;
 
 /** Check @p topo for ready-queue races. */
 AnalysisReport detectParallelHazards(const ParallelTopology &topo);

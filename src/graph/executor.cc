@@ -68,41 +68,19 @@ phaseName(Phase p)
 } // namespace
 
 Executor::Executor(std::vector<Val> fetches, ExecMode mode)
-    : fetches_(std::move(fetches)), schedule_(buildSchedule(fetches_)),
-      mode_(mode)
+    : fetches_(std::move(fetches)), topo_(buildTopology(fetches_)),
+      consumers_(topo_.schedule.size()), mode_(mode)
 {
-    const size_t n = schedule_.size();
-    std::unordered_map<const Node *, int> slot_of;
-    slot_of.reserve(n);
-    for (size_t s = 0; s < n; ++s)
-        slot_of[schedule_[s]] = static_cast<int>(s);
-
-    use_counts_.assign(n, 0);
-    in_degree_.assign(n, 0);
-    consumers_.assign(n, {});
-    input_slots_.assign(n, {});
-    for (size_t s = 0; s < n; ++s) {
-        const Node *node = schedule_[s];
-        input_slots_[s].reserve(node->inputs.size());
-        for (const Val &v : node->inputs) {
-            auto it = slot_of.find(v.node);
-            ECHO_CHECK(it != slot_of.end(), "input of node #", node->id,
+    for (size_t s = 0; s < topo_.schedule.size(); ++s)
+        for (const int producer : topo_.input_slots[s]) {
+            ECHO_CHECK(producer >= 0, "input of node #",
+                       topo_.schedule[s]->id,
                        " missing from its own schedule");
-            const int producer = it->second;
-            input_slots_[s].push_back(producer);
-            ++use_counts_[static_cast<size_t>(producer)];
             consumers_[static_cast<size_t>(producer)].push_back(
                 static_cast<int>(s));
-            ++in_degree_[s];
         }
-    }
-    fetch_slots_.reserve(fetches_.size());
-    for (const Val &v : fetches_) {
-        auto it = slot_of.find(v.node);
-        ECHO_CHECK(it != slot_of.end(), "fetch missing from schedule");
-        fetch_slots_.push_back(it->second);
-        ++use_counts_[static_cast<size_t>(it->second)];
-    }
+    for (const int slot : topo_.fetch_slots)
+        ECHO_CHECK(slot >= 0, "fetch missing from schedule");
 
     // Shape-specialized GEMM tuning: wire the cache-backed schedule
     // registry (and, under ECHO_TUNE=search, the search-on-miss
@@ -112,7 +90,7 @@ Executor::Executor(std::vector<Val> fetches, ExecMode mode)
         tune::ensureGlobalTuner();
         if (ops::tuneMode() == ops::TuneMode::kSearch)
             tune::globalTuner().warmKeys(collectGemmKeys(
-                schedule_, ThreadPool::global().numThreads()));
+                topo_.schedule, ThreadPool::global().numThreads()));
     }
 }
 
@@ -145,7 +123,7 @@ Executor::useParallel() const
       case ExecMode::kAuto:
         break;
     }
-    if (schedule_.size() < kMinParallelNodes)
+    if (topo_.schedule.size() < kMinParallelNodes)
         return false;
     if (ThreadPool::onWorkerThread())
         return false;
@@ -161,29 +139,30 @@ Executor::run(const FeedDict &feed) const
     obs::Span span;
     if (obs::traceEnabled())
         span.begin("exec", parallel ? "run.parallel" : "run.serial",
-                   {{"nodes", static_cast<int64_t>(schedule_.size())}});
+                   {{"nodes",
+                     static_cast<int64_t>(topo_.schedule.size())}});
     return parallel ? runParallel(feed) : runSerial(feed);
 }
 
 std::vector<Tensor>
 Executor::runSerial(const FeedDict &feed) const
 {
-    const size_t n = schedule_.size();
+    const size_t n = topo_.schedule.size();
     // Per-slot output tensors, plus the number of uses still pending so
     // buffers can be dropped as soon as they are dead.
     std::vector<std::vector<Tensor>> values(n);
-    std::vector<int> remaining = use_counts_;
+    std::vector<int> remaining = topo_.use_counts;
 
     auto release_use = [&](int slot) {
         int &uses = remaining[static_cast<size_t>(slot)];
         ECHO_CHECK(uses > 0, "use-count underflow on node #",
-                   schedule_[static_cast<size_t>(slot)]->id);
+                   topo_.schedule[static_cast<size_t>(slot)]->id);
         if (--uses == 0)
             values[static_cast<size_t>(slot)].clear();
     };
 
     for (size_t s = 0; s < n; ++s) {
-        Node *node = schedule_[s];
+        Node *node = topo_.schedule[s];
         switch (node->kind) {
           case NodeKind::kPlaceholder:
           case NodeKind::kWeight:
@@ -201,7 +180,7 @@ Executor::runSerial(const FeedDict &feed) const
             inputs.reserve(node->inputs.size());
             for (size_t i = 0; i < node->inputs.size(); ++i) {
                 const auto &slot_vals = values[static_cast<size_t>(
-                    input_slots_[s][i])];
+                    topo_.input_slots[s][i])];
                 ECHO_CHECK(!slot_vals.empty(), "input of node #",
                            node->id, " freed too early");
                 inputs.push_back(slot_vals[static_cast<size_t>(
@@ -212,7 +191,7 @@ Executor::runSerial(const FeedDict &feed) const
             node->op->forward(inputs, outputs);
             checkOutputs(node, outputs);
             values[s] = std::move(outputs);
-            for (int input_slot : input_slots_[s])
+            for (int input_slot : topo_.input_slots[s])
                 release_use(input_slot);
             break;
           }
@@ -227,7 +206,7 @@ Executor::runSerial(const FeedDict &feed) const
     out.reserve(fetches_.size());
     for (size_t i = 0; i < fetches_.size(); ++i) {
         const auto &slot_vals =
-            values[static_cast<size_t>(fetch_slots_[i])];
+            values[static_cast<size_t>(topo_.fetch_slots[i])];
         ECHO_CHECK(!slot_vals.empty(), "fetch value missing");
         out.push_back(
             slot_vals[static_cast<size_t>(fetches_[i].index)]);
@@ -308,12 +287,12 @@ Executor::drain(ParallelRun &run)
         // so the copies keep the data alive even if a producer slot is
         // freed while forward() executes.
         const size_t s = static_cast<size_t>(slot);
-        Node *node = ex.schedule_[s];
+        Node *node = ex.topo_.schedule[s];
         spent.swap(inputs);
         inputs.reserve(node->inputs.size());
         for (size_t i = 0; i < node->inputs.size(); ++i) {
-            const auto &slot_vals =
-                run.values[static_cast<size_t>(ex.input_slots_[s][i])];
+            const auto &slot_vals = run.values[static_cast<size_t>(
+                ex.topo_.input_slots[s][i])];
             ECHO_CHECK(!slot_vals.empty(), "input of node #", node->id,
                        " freed too early");
             inputs.push_back(
@@ -362,10 +341,11 @@ Executor::drain(ParallelRun &run)
         if (run.over)
             break; // another node threw meanwhile
         run.values[s] = std::move(outputs);
-        for (int input_slot : ex.input_slots_[s]) {
+        for (int input_slot : ex.topo_.input_slots[s]) {
             int &uses = run.remaining[static_cast<size_t>(input_slot)];
-            ECHO_CHECK(uses > 0, "use-count underflow on node #",
-                       ex.schedule_[static_cast<size_t>(input_slot)]->id);
+            ECHO_CHECK(
+                uses > 0, "use-count underflow on node #",
+                ex.topo_.schedule[static_cast<size_t>(input_slot)]->id);
             if (--uses == 0)
                 run.values[static_cast<size_t>(input_slot)].clear();
         }
@@ -407,20 +387,20 @@ Executor::drain(ParallelRun &run)
 std::vector<Tensor>
 Executor::runParallel(const FeedDict &feed) const
 {
-    const size_t n = schedule_.size();
+    const size_t n = topo_.schedule.size();
     auto run = std::make_shared<ParallelRun>();
     run->exec = this;
     run->n = n;
     run->values.resize(n);
-    run->remaining = use_counts_;
-    run->pending_inputs = in_degree_;
+    run->remaining = topo_.use_counts;
+    run->pending_inputs = topo_.in_degree;
 
     // Placeholders and weights resolve here, on the calling thread;
     // only op nodes reach the ready queue.
     for (size_t s = 0; s < n; ++s) {
-        if (in_degree_[s] != 0)
+        if (topo_.in_degree[s] != 0)
             continue;
-        Node *node = schedule_[s];
+        Node *node = topo_.schedule[s];
         if (node->kind == NodeKind::kOp) {
             run->ready.push_back(static_cast<int>(s));
             continue;
@@ -456,7 +436,8 @@ Executor::runParallel(const FeedDict &feed) const
     std::vector<Tensor> out;
     out.reserve(fetches_.size());
     for (size_t i = 0; i < fetches_.size(); ++i) {
-        const auto &slot_vals = values[static_cast<size_t>(fetch_slots_[i])];
+        const auto &slot_vals =
+            values[static_cast<size_t>(topo_.fetch_slots[i])];
         ECHO_CHECK(!slot_vals.empty(), "fetch value missing");
         out.push_back(slot_vals[static_cast<size_t>(fetches_[i].index)]);
     }

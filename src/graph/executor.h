@@ -81,7 +81,11 @@ class Executor
     std::vector<Tensor> run(const FeedDict &feed) const;
 
     /** The schedule this executor runs (for inspection/tests). */
-    const std::vector<Node *> &schedule() const { return schedule_; }
+    const std::vector<Node *> &schedule() const { return topo_.schedule; }
+
+    /** The slot topology this executor runs on (hazard-checkable with
+     *  analysis::detectParallelHazards). */
+    const SlotTopology &topology() const { return topo_; }
 
     /** The fetch set this executor was built for. */
     const std::vector<Val> &fetches() const { return fetches_; }
@@ -110,22 +114,13 @@ class Executor
     const Tensor &feedValue(const FeedDict &feed, const Node *n) const;
 
     std::vector<Val> fetches_;
-    std::vector<Node *> schedule_;
-    ExecMode mode_;
-
     // Dense per-run topology, indexed by schedule position ("slot").
     // Built once here so run() touches only flat vectors — no hash
     // lookups or per-run map copies on the hot path.
-    /** Remaining-use counts per slot (consumers + fetch references). */
-    std::vector<int> use_counts_;
-    /** Input-edge count per slot (parallel-mode ready condition). */
-    std::vector<int> in_degree_;
+    SlotTopology topo_;
     /** Consumer slots per slot, one entry per input edge. */
     std::vector<std::vector<int>> consumers_;
-    /** Producer slot of each input, aligned with node->inputs. */
-    std::vector<std::vector<int>> input_slots_;
-    /** Slot of each fetch, aligned with fetches_. */
-    std::vector<int> fetch_slots_;
+    ExecMode mode_;
 };
 
 } // namespace echo::graph

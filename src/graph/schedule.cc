@@ -110,4 +110,43 @@ buildSchedule(const std::vector<Val> &fetches)
     return order;
 }
 
+SlotTopology
+buildTopology(const std::vector<Val> &fetches)
+{
+    SlotTopology topo;
+    topo.schedule = buildSchedule(fetches);
+    const size_t n = topo.schedule.size();
+    std::unordered_map<const Node *, int> slot_of;
+    slot_of.reserve(n);
+    for (size_t s = 0; s < n; ++s)
+        slot_of[topo.schedule[s]] = static_cast<int>(s);
+    const auto slot = [&](const Node *node) {
+        auto it = slot_of.find(node);
+        return it == slot_of.end() ? -1 : it->second;
+    };
+
+    topo.input_slots.assign(n, {});
+    topo.in_degree.assign(n, 0);
+    topo.use_counts.assign(n, 0);
+    for (size_t s = 0; s < n; ++s) {
+        const Node *node = topo.schedule[s];
+        topo.input_slots[s].reserve(node->inputs.size());
+        for (const Val &v : node->inputs) {
+            const int producer = slot(v.node);
+            topo.input_slots[s].push_back(producer);
+            if (producer >= 0)
+                ++topo.use_counts[static_cast<size_t>(producer)];
+            ++topo.in_degree[s];
+        }
+    }
+    topo.fetch_slots.reserve(fetches.size());
+    for (const Val &v : fetches) {
+        const int s = slot(v.node);
+        topo.fetch_slots.push_back(s);
+        if (s >= 0)
+            ++topo.use_counts[static_cast<size_t>(s)];
+    }
+    return topo;
+}
+
 } // namespace echo::graph

@@ -27,6 +27,28 @@ namespace echo::graph {
  */
 std::vector<Node *> buildSchedule(const std::vector<Val> &fetches);
 
+/**
+ * The dense slot topology of a schedule, one slot per schedule
+ * position.  The Executor runs on exactly these arrays, and the
+ * parallel-hazard detector (analysis/hazards.h) checks them.
+ */
+struct SlotTopology
+{
+    std::vector<Node *> schedule;
+    /** Producer slot of each input edge, aligned with node->inputs;
+     *  -1 when the producer is missing from the schedule. */
+    std::vector<std::vector<int>> input_slots;
+    /** Input-edge count per slot (the parallel ready condition). */
+    std::vector<int> in_degree;
+    /** Remaining-use counts per slot (consumers + fetch references). */
+    std::vector<int> use_counts;
+    /** Slot of each fetch, aligned with the fetches; -1 when missing. */
+    std::vector<int> fetch_slots;
+};
+
+/** buildSchedule(@p fetches) plus its slot topology. */
+SlotTopology buildTopology(const std::vector<Val> &fetches);
+
 } // namespace echo::graph
 
 #endif // ECHO_GRAPH_SCHEDULE_H

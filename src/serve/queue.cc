@@ -19,6 +19,8 @@ rejectReasonName(RejectReason reason)
         return "too-long";
       case RejectReason::kEmpty:
         return "empty";
+      case RejectReason::kBadToken:
+        return "bad-token";
       case RejectReason::kBadModel:
         return "bad-model";
       case RejectReason::kShutdown:

@@ -9,10 +9,10 @@
  *
  * The determinism contract: a request's Response payload (tokens and
  * scores) is a pure function of the request and the model parameters —
- * byte-identical regardless of which other requests shared its
- * step graph, which length bucket padding it rode in, and how many
- * threads executed the graph.  Latency fields are diagnostics and are
- * exempt.
+ * byte-identical whether it decoded alone or in a lane row beside
+ * other requests, whenever it was spliced, and however many threads
+ * executed the graph.  Latency and batch fields are diagnostics and
+ * are exempt.
  */
 #ifndef ECHO_SERVE_REQUEST_H
 #define ECHO_SERVE_REQUEST_H
@@ -32,6 +32,7 @@ enum class RejectReason
     kOverloaded, ///< SLO shed: batch-tier admission above the shed line
     kTooLong,    ///< longer than the largest configured length bucket
     kEmpty,      ///< no tokens
+    kBadToken,   ///< a token id outside the model's input vocabulary
     kBadModel,   ///< names a model no loaded session serves
     kShutdown,   ///< submitted after stop()
     kCancelled,  ///< cancelled by the client before completion
@@ -103,14 +104,6 @@ bucketForLength(const std::vector<int64_t> &buckets, int64_t len)
             return b;
     return -1;
 }
-
-/** One fixed-shape unit of decoding work: every request padded to
- *  @c bucket_len, at most one per session slot. */
-struct MicroBatch
-{
-    int64_t bucket_len = 0;
-    std::vector<Request> requests;
-};
 
 /** The answer to one Request. */
 struct Response

@@ -11,7 +11,7 @@
  * row whose payload completes during the step frees its slot the same
  * instant — the next pass can splice a waiting request into it, which
  * is what lets short requests overtake long neighbours instead of
- * waiting out a whole micro-batch.
+ * waiting for the longest request of a run-to-completion batch.
  *
  * Determinism: sessions re-initialize a row's carried state at splice
  * time and every step-graph op is row-wise, so a request's payload is

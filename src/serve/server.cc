@@ -102,6 +102,11 @@ Server::submit(Request r)
         reason = RejectReason::kEmpty;
     else if (static_cast<int64_t>(r.tokens.size()) > target->maxLength())
         reason = RejectReason::kTooLong;
+    else if (std::any_of(r.tokens.begin(), r.tokens.end(),
+                         [&](int64_t id) {
+                             return id < 0 || id >= target->inputVocab();
+                         }))
+        reason = RejectReason::kBadToken;
 
     if (reason == RejectReason::kNone) {
         // Register BEFORE pushing: the worker may complete the request

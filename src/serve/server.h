@@ -3,8 +3,10 @@
  * The serving front end: admission, a worker thread driving the
  * continuous (iteration-level) scheduler, and latency/wait accounting.
  *
- * submit() is thread-safe and non-blocking: invalid or over-capacity
- * requests resolve their future immediately with a RejectReason;
+ * submit() is thread-safe and non-blocking: invalid (unknown model,
+ * empty, too long, or a token outside the model's input vocabulary)
+ * or over-capacity requests resolve their future immediately with a
+ * RejectReason, so a bad request never reaches a decoder;
  * admitted requests resolve when they complete (payload), are
  * cancelled, or their deadline budget expires.  One worker thread owns
  * the sessions (sessions are single-consumer); the parallelism that

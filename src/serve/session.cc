@@ -20,8 +20,8 @@ using models::ParamStore;
 
 /**
  * The word-LM payload: top-k next-token ids and log-probabilities of
- * row @p r of @p logits.  One function serves the one-shot (runBatch)
- * and continuous paths so their payload bytes agree by construction.
+ * row @p r of @p logits.  One function serves the direct and lane
+ * paths so their payload bytes agree by construction.
  */
 void
 lmTopKPayload(const Tensor &logits, int64_t r, const Request &req,
@@ -44,6 +44,36 @@ lmTopKPayload(const Tensor &logits, int64_t r, const Request &req,
         resp.scores.push_back(static_cast<float>(
             logp[static_cast<size_t>(ids[static_cast<size_t>(j)])]));
     }
+}
+
+/** Deterministic argmax of row @p r: the first maximum. */
+int64_t
+argmaxRow(const Tensor &logits, int64_t r)
+{
+    const int64_t vocab = logits.shape()[1];
+    int64_t best = 0;
+    float best_score = logits.at(r, 0);
+    for (int64_t j = 1; j < vocab; ++j)
+        if (logits.at(r, j) > best_score) {
+            best_score = logits.at(r, j);
+            best = j;
+        }
+    return best;
+}
+
+/** The direct-decode Response shell of @p r: id, bucket, batch of 1. */
+Response
+directResponse(const Request &r, const SessionConfig &cfg)
+{
+    Response resp;
+    resp.id = r.id;
+    resp.ok = true;
+    resp.batch_requests = 1;
+    resp.bucket_len = bucketForLength(
+        cfg.buckets, static_cast<int64_t>(r.tokens.size()));
+    ECHO_CHECK(!r.tokens.empty() && resp.bucket_len > 0,
+               "direct request ", r.id, " fits no bucket");
+    return resp;
 }
 
 const Tensor &
@@ -114,22 +144,6 @@ validateSessionConfig(const SessionConfig &cfg)
     ECHO_REQUIRE(cfg.beam_width >= 1, "beam width must be positive");
 }
 
-void
-validateBatch(const MicroBatch &mb, const SessionConfig &cfg)
-{
-    ECHO_REQUIRE(!mb.requests.empty() &&
-                     static_cast<int64_t>(mb.requests.size()) <=
-                         cfg.slots,
-                 "micro-batch holds ", mb.requests.size(),
-                 " requests for ", cfg.slots, " slots");
-    for (const Request &r : mb.requests)
-        ECHO_REQUIRE(!r.tokens.empty() &&
-                         static_cast<int64_t>(r.tokens.size()) <=
-                             mb.bucket_len,
-                     "request ", r.id, " does not fit bucket ",
-                     mb.bucket_len);
-}
-
 } // namespace
 
 InferenceSession::InferenceSession(SessionConfig config)
@@ -144,21 +158,7 @@ InferenceSession::bucketIndex(int64_t bucket_len) const
     for (size_t i = 0; i < config_.buckets.size(); ++i)
         if (config_.buckets[i] == bucket_len)
             return static_cast<int64_t>(i);
-    ECHO_FATAL("micro-batch bucket ", bucket_len,
-               " is not a configured bucket");
-}
-
-Response
-InferenceSession::runDirect(const Request &r)
-{
-    MicroBatch mb;
-    mb.bucket_len = bucketForLength(config_.buckets,
-                                    static_cast<int64_t>(r.tokens.size()));
-    ECHO_CHECK(mb.bucket_len > 0, "direct request fits no bucket");
-    mb.requests.push_back(r);
-    std::vector<Response> out;
-    runBatch(mb, out);
-    return std::move(out.front());
+    ECHO_FATAL("bucket ", bucket_len, " is not a configured bucket");
 }
 
 std::unique_ptr<InferenceSession>
@@ -220,53 +220,28 @@ WordLmSession::describe() const
     return oss.str();
 }
 
-void
-WordLmSession::runBatch(const MicroBatch &mb, std::vector<Response> &out)
+Response
+WordLmSession::runDirect(const Request &r)
 {
-    validateBatch(mb, config_);
+    Response resp = directResponse(r, config_);
+    const int64_t len = static_cast<int64_t>(r.tokens.size());
     obs::Span span;
     if (obs::traceEnabled())
-        span.begin("serve", "lm_batch",
-                   {{"requests",
-                     static_cast<int64_t>(mb.requests.size())},
-                    {"bucket", mb.bucket_len}});
+        span.begin("serve", "lm_direct", {{"tokens", len}});
 
-    const int64_t b = config_.slots;
-    const int64_t n = static_cast<int64_t>(mb.requests.size());
-    out.assign(mb.requests.size(), Response{});
-
-    Tensor token(Shape({b}));
+    // Row 0 steps through the prefix; every other row idles on kPad.
+    // The next-token distribution is read after the last prefix token.
+    Tensor token = Tensor::full(Shape({config_.slots}),
+                                static_cast<float>(data::Vocab::kPad));
     models::WordLmStepper::State state = stepper_.initialState();
-    std::vector<double> logp;
-
-    // Fixed step count per bucket: rows whose prefix ends early keep
-    // stepping on kPad so the batch shape — and hence every row's
-    // arithmetic — is composition-independent.
-    for (int64_t t = 0; t < mb.bucket_len; ++t) {
-        for (int64_t r = 0; r < b; ++r) {
-            const bool live =
-                r < n &&
-                t < static_cast<int64_t>(mb.requests[r].tokens.size());
-            token.at(r) = static_cast<float>(
-                live ? mb.requests[r].tokens[static_cast<size_t>(t)]
-                     : data::Vocab::kPad);
-        }
-        const Tensor logits = stepper_.step(params_, token, state);
-
-        // A row's next-token distribution is read at its own last
-        // prefix position, wherever the bucket boundary is.
-        for (int64_t r = 0; r < n; ++r) {
-            const Request &req = mb.requests[static_cast<size_t>(r)];
-            if (t != static_cast<int64_t>(req.tokens.size()) - 1)
-                continue;
-            Response &resp = out[static_cast<size_t>(r)];
-            resp.id = req.id;
-            resp.ok = true;
-            resp.bucket_len = mb.bucket_len;
-            resp.batch_requests = n;
-            lmTopKPayload(logits, r, req, logp, resp);
-        }
+    Tensor logits;
+    for (int64_t t = 0; t < len; ++t) {
+        token.at(0) = static_cast<float>(r.tokens[static_cast<size_t>(t)]);
+        logits = stepper_.step(params_, token, state);
     }
+    std::vector<double> logp;
+    lmTopKPayload(logits, 0, r, logp, resp);
+    return resp;
 }
 
 int
@@ -310,8 +285,8 @@ WordLmSession::stepLane(int lane, std::vector<LaneFinish> &out)
     if (obs::traceEnabled())
         span.begin("serve", "lm_step", {{"live", live}});
 
-    // Occupied rows feed their own next prefix token, free rows pad —
-    // the same composition-independence discipline as runBatch.
+    // Occupied rows feed their own next prefix token, free rows pad,
+    // so every row's arithmetic is independent of its neighbours.
     Tensor token(Shape({b}));
     for (int64_t r = 0; r < b; ++r) {
         const auto &req = lane_req_[static_cast<size_t>(r)];
@@ -524,16 +499,9 @@ NmtSession::stepLane(int lane_idx, std::vector<LaneFinish> &out)
     const Tensor logits = dec.step(params_, ln.state, ln.enc);
     std::vector<double> logp;
     for (int64_t r = 0; r < b; ++r) {
-        // Deterministic argmax (first maximum) on every row, live or
-        // not, so the fed-back token stream is a pure function of the
-        // row — identical to runBatch's decode loop.
-        int64_t best = 0;
-        float best_score = logits.at(r, 0);
-        for (int64_t j = 1; j < mcfg_.tgt_vocab; ++j)
-            if (logits.at(r, j) > best_score) {
-                best_score = logits.at(r, j);
-                best = j;
-            }
+        // Argmax on every row, live or not, so the fed-back token
+        // stream is a pure function of the row.
+        const int64_t best = argmaxRow(logits, r);
         ln.state.token.at(r) = static_cast<float>(best);
         auto &req = ln.req[static_cast<size_t>(r)];
         if (req == nullptr)
@@ -573,122 +541,58 @@ NmtSession::evict(int lane_idx, int slot)
     ln.req[static_cast<size_t>(slot)].reset();
 }
 
-void
-NmtSession::runBatch(const MicroBatch &mb, std::vector<Response> &out)
+Response
+NmtSession::runDirect(const Request &r)
 {
-    validateBatch(mb, config_);
+    Response resp = directResponse(r, config_);
+    // A zero-budget decode has no steps: its payload is empty.
+    if (r.max_new_tokens <= 0)
+        return resp;
     obs::Span span;
     if (obs::traceEnabled())
-        span.begin("serve", "nmt_batch",
-                   {{"requests",
-                     static_cast<int64_t>(mb.requests.size())},
-                    {"bucket", mb.bucket_len}});
+        span.begin("serve", "nmt_direct",
+                   {{"tokens", static_cast<int64_t>(r.tokens.size())},
+                    {"beam", int64_t(r.beam_width)}});
 
-    const int64_t b = config_.slots;
-    const int64_t n = static_cast<int64_t>(mb.requests.size());
-    const int64_t bucket_idx = bucketIndex(mb.bucket_len);
-    out.assign(mb.requests.size(), Response{});
-
-    // One padded source tensor and ONE encoder run cover the whole
-    // micro-batch; beam requests reuse their encoder row via tiling.
-    Tensor src = Tensor::zeros(Shape({b, mb.bucket_len}));
-    for (int64_t r = 0; r < n; ++r) {
-        const auto &toks = mb.requests[static_cast<size_t>(r)].tokens;
-        for (size_t t = 0; t < toks.size(); ++t)
-            src.at(r, static_cast<int64_t>(t)) =
-                static_cast<float>(toks[t]);
-    }
+    // Encode the source on row 0 of the bucket's greedy decoder; the
+    // other rows hold an all-kPad source.
+    const int64_t bucket_idx = bucketIndex(resp.bucket_len);
     const models::NmtDecoder &dec = greedyDecoder(bucket_idx);
+    Tensor src = Tensor::zeros(Shape({config_.slots, resp.bucket_len}));
+    for (size_t t = 0; t < r.tokens.size(); ++t)
+        src.at(0, static_cast<int64_t>(t)) =
+            static_cast<float>(r.tokens[t]);
     const NmtDecoder::Encoded enc = dec.encode(params_, src);
 
-    for (int64_t r = 0; r < n; ++r) {
-        Response &resp = out[static_cast<size_t>(r)];
-        resp.id = mb.requests[static_cast<size_t>(r)].id;
-        resp.ok = true;
-        resp.bucket_len = mb.bucket_len;
-        resp.batch_requests = n;
-    }
-
-    // Greedy rows decode together on the slot-wide step graph.  A
-    // zero-budget request never participates: left live it would
-    // append one token before its cap check whenever a longer
-    // neighbour keeps the loop running, diverging from its solo
-    // decode (empty tokens, empty scores).
-    std::vector<bool> greedy_row(static_cast<size_t>(b), false);
-    int64_t max_steps = 0;
-    for (int64_t r = 0; r < n; ++r) {
-        const Request &req = mb.requests[static_cast<size_t>(r)];
-        if (req.beam_width <= 1 && req.max_new_tokens > 0) {
-            greedy_row[static_cast<size_t>(r)] = true;
-            max_steps = std::max(max_steps, req.max_new_tokens);
-        }
-    }
-    if (max_steps > 0) {
-        NmtDecoder::State state = dec.initialState();
-        std::vector<bool> done(static_cast<size_t>(b), true);
-        for (int64_t r = 0; r < b; ++r)
-            done[static_cast<size_t>(r)] = !greedy_row[static_cast<size_t>(r)];
-        std::vector<double> logp;
-        std::vector<double> raw(static_cast<size_t>(n), 0.0);
-        for (int64_t t = 0; t < max_steps; ++t) {
-            const Tensor logits = dec.step(params_, state, enc);
-            bool all_done = true;
-            for (int64_t r = 0; r < b; ++r) {
-                // Deterministic argmax (first maximum) on every row,
-                // live or not, so the fed-back token stream is a pure
-                // function of the row.
-                int64_t best = 0;
-                float best_score = logits.at(r, 0);
-                for (int64_t j = 1; j < mcfg_.tgt_vocab; ++j)
-                    if (logits.at(r, j) > best_score) {
-                        best_score = logits.at(r, j);
-                        best = j;
-                    }
-                state.token.at(r) = static_cast<float>(best);
-                if (done[static_cast<size_t>(r)])
-                    continue;
-                const Request &req =
-                    mb.requests[static_cast<size_t>(r)];
-                Response &resp = out[static_cast<size_t>(r)];
-                if (best == data::Vocab::kEos) {
-                    done[static_cast<size_t>(r)] = true;
-                } else {
-                    logSoftmaxRow(logits, r, logp);
-                    resp.tokens.push_back(best);
-                    raw[static_cast<size_t>(r)] +=
-                        logp[static_cast<size_t>(best)];
-                    if (static_cast<int64_t>(resp.tokens.size()) >=
-                        req.max_new_tokens)
-                        done[static_cast<size_t>(r)] = true;
-                }
-                all_done = all_done && done[static_cast<size_t>(r)];
-            }
-            if (all_done)
-                break;
-        }
-        for (int64_t r = 0; r < n; ++r)
-            if (greedy_row[static_cast<size_t>(r)])
-                out[static_cast<size_t>(r)].scores = {
-                    static_cast<float>(raw[static_cast<size_t>(r)])};
-    }
-
-    // Beam rows decode one request at a time on the beam-wide graph.
-    for (int64_t r = 0; r < n; ++r) {
-        const Request &req = mb.requests[static_cast<size_t>(r)];
-        if (req.beam_width <= 1)
-            continue;
+    // Beam search runs on the beam-wide graph over row 0's encoding,
+    // tiled to every beam row.
+    if (r.beam_width > 1) {
         const models::NmtDecoder &bdec = beamDecoder(bucket_idx);
-        const NmtDecoder::Encoded tiled =
-            tileEncoderRow(enc, r, bdec.batch());
-        const int width = std::clamp(req.beam_width, 1,
-                                     config_.beam_width);
+        const int width = std::clamp(r.beam_width, 1, config_.beam_width);
         const BeamHypothesis hyp =
-            beamSearch(bdec, params_, tiled, width, req.max_new_tokens,
-                       config_.beam_alpha);
-        Response &resp = out[static_cast<size_t>(r)];
+            beamSearch(bdec, params_, tileEncoderRow(enc, 0, bdec.batch()),
+                       width, r.max_new_tokens, config_.beam_alpha);
         resp.tokens = hyp.tokens;
         resp.scores = {hyp.score};
+        return resp;
     }
+
+    // Greedy: feed row 0's argmax back until EOS or the budget.
+    NmtDecoder::State state = dec.initialState();
+    std::vector<double> logp;
+    double raw = 0.0;
+    while (static_cast<int64_t>(resp.tokens.size()) < r.max_new_tokens) {
+        const Tensor logits = dec.step(params_, state, enc);
+        const int64_t best = argmaxRow(logits, 0);
+        if (best == data::Vocab::kEos)
+            break;
+        logSoftmaxRow(logits, 0, logp);
+        resp.tokens.push_back(best);
+        raw += logp[static_cast<size_t>(best)];
+        state.token.at(0) = static_cast<float>(best);
+    }
+    resp.scores = {static_cast<float>(raw)};
+    return resp;
 }
 
 } // namespace echo::serve

@@ -1,18 +1,26 @@
 /**
  * @file
- * Inference sessions: checkpoint-backed, state-cached micro-batch
- * decoding for the two paper models.
+ * Inference sessions: checkpoint-backed decoding for the two paper
+ * models.  A session decodes in two ways:
+ *
+ *  - lanes (splice / stepLane / evict): persistent step-graph
+ *    instances whose rows the continuous scheduler fills and recycles
+ *    one step at a time — every served greedy / top-k request;
+ *  - runDirect: one request alone on row 0 of a fresh state, run to
+ *    completion — NMT beam and zero-budget requests, and the
+ *    sequential reference the lanes are tested against.
  *
  * A session owns the loaded parameters and the step-decoder graphs —
  * built ONCE per (slot count, length bucket) and reused for every
- * micro-batch, which is the serving-side counterpart of the paper's
- * "build the step graph once, run it T times" training structure.
+ * step, which is the serving-side counterpart of the paper's "build
+ * the step graph once, run it T times" training structure.
  *
- * Determinism contract (test-enforced): every graph in a session has a
- * fixed batch dimension (the slot count), unused slots are padded with
- * fixed values, and all ops are row-wise along the batch axis — so a
- * request's response payload is byte-identical whether it ran alone or
- * alongside seven neighbours, at any thread count.
+ * Determinism contract (test-enforced on the lanes): every graph in a
+ * session has a fixed batch dimension (the slot count), unused rows
+ * are padded with fixed values, and all ops are row-wise along the
+ * batch axis — so a request's response payload is byte-identical
+ * whether it decoded alone through runDirect or spliced into a lane
+ * beside seven neighbours, at any thread count.
  *
  * Config inference: fromCheckpoint() reconstructs the model
  * hyperparameters from tensor names and shapes (vocab/hidden/layers,
@@ -63,7 +71,7 @@ struct LaneFinish
     Response resp;
 };
 
-/** A loaded model ready to decode micro-batches. */
+/** A loaded model ready to decode requests. */
 class InferenceSession
 {
   public:
@@ -80,17 +88,12 @@ class InferenceSession
     /** "word_lm" or "nmt". */
     virtual const char *kind() const = 0;
 
+    /** Size of the input vocabulary: admissible request tokens lie in
+     *  [0, inputVocab()). */
+    virtual int64_t inputVocab() const = 0;
+
     /** One-line model summary for CLI banners. */
     virtual std::string describe() const = 0;
-
-    /**
-     * Decode one micro-batch.  @p out receives one Response per
-     * request, in order, with payload fields (tokens/scores) and
-     * bucket/batch diagnostics filled in; latency is the caller's.
-     * Not thread-safe: one worker drives a session.
-     */
-    virtual void runBatch(const MicroBatch &mb,
-                          std::vector<Response> &out) = 0;
 
     // ------------------------------------------------------------------
     // Continuous (iteration-level) scheduling API.
@@ -132,9 +135,15 @@ class InferenceSession
     /** Free row @p slot of @p lane without a payload (cancel/expire). */
     virtual void evict(int lane, int slot) = 0;
 
-    /** Decode @p r alone, synchronously (the kDirectLane path and the
-     *  differential reference).  Byte-identical to a solo runBatch. */
-    Response runDirect(const Request &r);
+    /**
+     * Decode @p r alone on row 0 of a fresh state, synchronously: the
+     * kDirectLane path and the sequential reference the lanes are
+     * tested against (it shares no splice/step code with them).  The
+     * Response carries the payload and bucket/batch diagnostics;
+     * latency is the caller's.  @pre @p r is non-empty, in vocabulary
+     * and fits a bucket.  Not thread-safe: one worker drives a session.
+     */
+    virtual Response runDirect(const Request &r) = 0;
 
     /**
      * Load @p path and build the right session for the checkpoint's
@@ -161,9 +170,9 @@ class WordLmSession final : public InferenceSession
                   models::ParamStore params, SessionConfig config);
 
     const char *kind() const override { return "word_lm"; }
+    int64_t inputVocab() const override { return mcfg_.vocab; }
     std::string describe() const override;
-    void runBatch(const MicroBatch &mb,
-                  std::vector<Response> &out) override;
+    Response runDirect(const Request &r) override;
 
     /** The stepper has no length dimension, so ONE lane serves every
      *  prefix length — rows at different positions coexist. */
@@ -190,7 +199,7 @@ class WordLmSession final : public InferenceSession
     std::vector<int64_t> lane_pos_;
 };
 
-/** NMT serving: batched greedy and per-request beam decoding. */
+/** NMT serving: greedy lanes and direct beam decoding. */
 class NmtSession final : public InferenceSession
 {
   public:
@@ -199,9 +208,9 @@ class NmtSession final : public InferenceSession
     ~NmtSession() override;
 
     const char *kind() const override { return "nmt"; }
+    int64_t inputVocab() const override { return mcfg_.src_vocab; }
     std::string describe() const override;
-    void runBatch(const MicroBatch &mb,
-                  std::vector<Response> &out) override;
+    Response runDirect(const Request &r) override;
 
     /** One greedy lane per length bucket; beam and zero-budget
      *  requests run direct (the trailing journal pool). */

@@ -454,8 +454,6 @@ lookupCachedPacks(const Tensor &a, bool trans_a, const Tensor &b,
                   CachedPack &a_pack, CachedPack &b_pack,
                   CachedPackHold &a_hold, CachedPackHold &b_hold)
 {
-    if (!packCacheEnabled())
-        return;
     (void)n;
     const bool direct_b = sch.pack_b == GemmPackB::kDirect && !trans_b;
     if (!direct_b)

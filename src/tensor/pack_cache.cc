@@ -308,19 +308,6 @@ lookupOrBuild(const Tensor &t, const PackKey &key_proto,
 
 } // namespace
 
-bool
-packCacheEnabled()
-{
-    static const bool enabled = [] {
-        const char *env = std::getenv("ECHO_PACK_CACHE");
-        if (!env)
-            return true;
-        return !(std::strcmp(env, "off") == 0 ||
-                 std::strcmp(env, "0") == 0);
-    }();
-    return enabled;
-}
-
 void
 registerPackableTensor(const Tensor &t)
 {

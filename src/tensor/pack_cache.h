@@ -27,10 +27,9 @@
  *    fits once fits forever and hit rate reaches 100% after the first
  *    iteration.
  *
- * ECHO_PACK_CACHE=off disables the cache entirely (honest uncached
- * baselines).  Counters: pack_cache.hit / .miss /
- * .bytes (bytes ever packed; kScheduling — schedules, and therefore
- * panel layouts, depend on the thread count).
+ * Counters: pack_cache.hit / .miss / .bytes (bytes ever packed;
+ * kScheduling — schedules, and therefore panel layouts, depend on the
+ * thread count).
  */
 #ifndef ECHO_TENSOR_PACK_CACHE_H
 #define ECHO_TENSOR_PACK_CACHE_H
@@ -42,9 +41,6 @@
 #include "tensor/tensor.h"
 
 namespace echo::ops {
-
-/** Whether the cache is active (ECHO_PACK_CACHE, default on). */
-bool packCacheEnabled();
 
 /**
  * Mark @p t's storage as a cacheable GEMM operand.  Idempotent: a

@@ -30,16 +30,13 @@
  * keep the current streak requirement.
  *
  * Every (re)allocation ticks `gemm.pack_scratch_bytes` so pack-buffer
- * churn is visible in counter snapshots, and setting ECHO_PACK_TRACE
- * prints each realloc to stderr.
+ * churn is visible in counter snapshots.
  */
 #ifndef ECHO_TENSOR_PACK_SCRATCH_H
 #define ECHO_TENSOR_PACK_SCRATCH_H
 
 #include <algorithm>
 #include <cstddef>
-#include <cstdio>
-#include <cstdlib>
 #include <vector>
 
 #include "obs/counters.h"
@@ -106,11 +103,6 @@ class PackScratch
     void
     reallocTo(size_t elems)
     {
-        static const bool trace = std::getenv("ECHO_PACK_TRACE") != nullptr;
-        if (trace)
-            fprintf(stderr, "[pack %p] realloc %zu -> %zu (streak %d)\n",
-                    static_cast<void *>(this), buf_.capacity(), elems,
-                    oversized_streak_);
         std::vector<float>(elems).swap(buf_);
         oversized_streak_ = 0;
         streak_max_ = 0;

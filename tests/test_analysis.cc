@@ -11,6 +11,7 @@
 #include "analysis/analysis.h"
 #include "echo/recompute_pass.h"
 #include "graph/autodiff.h"
+#include "graph/executor.h"
 #include "graph/ops/oplib.h"
 #include "memory/liveness.h"
 #include "memory/planner.h"
@@ -311,6 +312,9 @@ TEST(Hazards, CleanTopologyPasses)
 {
     TinyChain m;
     EXPECT_TRUE(detectParallelHazards(buildTopology(m.fetches)).ok());
+    // The very arrays an executor runs on check clean too.
+    EXPECT_TRUE(
+        detectParallelHazards(graph::Executor(m.fetches).topology()).ok());
 }
 
 TEST(Hazards, RacySlotPairFlagged)

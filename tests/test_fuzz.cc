@@ -712,19 +712,10 @@ TEST_P(ServeFuzz, ContinuousPayloadsAndJournalSurviveRandomTraffic)
     }
 
     // Solo reference payloads (ids are irrelevant to payload bytes).
-    for (Planned &p : plan) {
-        sv::MicroBatch mb;
-        mb.bucket_len = 8;
-        sv::Request copy = p.req;
-        copy.id = 0;
-        mb.requests.push_back(std::move(copy));
-        std::vector<sv::Response> out;
-        (p.is_nmt ? static_cast<sv::InferenceSession &>(nmt_ref)
-                  : static_cast<sv::InferenceSession &>(lm_ref))
-            .runBatch(mb, out);
-        ASSERT_EQ(out.size(), 1u) << repro(seed);
-        p.ref = out[0];
-    }
+    for (Planned &p : plan)
+        p.ref = (p.is_nmt ? static_cast<sv::InferenceSession &>(nmt_ref)
+                          : static_cast<sv::InferenceSession &>(lm_ref))
+                    .runDirect(p.req);
 
     std::vector<std::unique_ptr<sv::InferenceSession>> sessions;
     sessions.push_back(std::make_unique<sv::WordLmSession>(

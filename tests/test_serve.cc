@@ -212,135 +212,114 @@ TEST(Session, WordLmTopKIsSortedAndInVocab)
 {
     WordLmSession session(tinyLmConfig(), tinyLmParams(),
                           smallSessionConfig());
-    MicroBatch mb;
-    mb.bucket_len = 8;
     Request r = makeRequest({7, 12, 3}, 0);
     r.top_k = 5;
-    mb.requests.push_back(r);
 
-    std::vector<Response> out;
-    session.runBatch(mb, out);
-    ASSERT_EQ(out.size(), 1u);
-    EXPECT_TRUE(out[0].ok);
-    ASSERT_EQ(out[0].tokens.size(), 5u);
-    ASSERT_EQ(out[0].scores.size(), 5u);
-    for (size_t i = 0; i < out[0].tokens.size(); ++i) {
-        EXPECT_GE(out[0].tokens[i], 0);
-        EXPECT_LT(out[0].tokens[i], 50);
-        EXPECT_LE(out[0].scores[i], 0.0f); // log-probabilities
+    const Response out = session.runDirect(r);
+    EXPECT_TRUE(out.ok);
+    ASSERT_EQ(out.tokens.size(), 5u);
+    ASSERT_EQ(out.scores.size(), 5u);
+    for (size_t i = 0; i < out.tokens.size(); ++i) {
+        EXPECT_GE(out.tokens[i], 0);
+        EXPECT_LT(out.tokens[i], 50);
+        EXPECT_LE(out.scores[i], 0.0f); // log-probabilities
         if (i > 0) {
-            EXPECT_GE(out[0].scores[i - 1], out[0].scores[i]);
+            EXPECT_GE(out.scores[i - 1], out.scores[i]);
         }
     }
 }
 
 /**
- * The determinism contract: a request's payload is byte-identical
- * whether it decoded alone or alongside neighbours, at any thread
- * count.  Runs the same request solo and packed with 7 other requests,
- * across thread counts 1/2/4, and requires exact equality.
+ * Splice rows[i] into row i of @p lane, step the lane until every row
+ * has finished, and return each row's Response, indexed by slot.
+ */
+std::vector<Response>
+decodeFullLane(InferenceSession &session, int lane,
+               const std::vector<Request> &rows)
+{
+    for (size_t i = 0; i < rows.size(); ++i)
+        session.splice(lane, static_cast<int>(i), rows[i]);
+    std::vector<LaneFinish> fins;
+    for (int step = 0; step < 64 && fins.size() < rows.size(); ++step)
+        session.stepLane(lane, fins);
+    EXPECT_EQ(fins.size(), rows.size());
+    std::vector<Response> out(rows.size());
+    for (LaneFinish &f : fins)
+        out[static_cast<size_t>(f.slot)] = std::move(f.resp);
+    return out;
+}
+
+/**
+ * The determinism contract, on the lanes that serve traffic: a
+ * request's payload is byte-identical whether it decoded alone
+ * (runDirect) or spliced into a full lane beside neighbours of varied
+ * lengths and widths, at any thread count.  The target rides in row 5.
  */
 TEST(Session, WordLmPayloadIndependentOfBatchAndThreads)
 {
     WordLmSession session(tinyLmConfig(), tinyLmParams(),
                           smallSessionConfig());
-    const std::vector<int64_t> prefix{9, 4, 31, 6};
-
-    MicroBatch solo;
-    solo.bucket_len = 8;
-    {
-        Request r = makeRequest(prefix, 0);
-        r.top_k = 4;
-        solo.requests.push_back(r);
-    }
-    MicroBatch packed;
-    packed.bucket_len = 8;
-    for (int64_t i = 0; i < 8; ++i) {
-        // The target request rides in row 5; neighbours vary in length
-        // and content.
-        Request r =
-            i == 5 ? makeRequest(prefix, 100)
-                   : makeRequest(std::vector<int64_t>(
-                                     static_cast<size_t>(1 + i % 7),
-                                     10 + i),
-                                 i);
-        r.top_k = i == 5 ? 4 : 3;
-        packed.requests.push_back(r);
+    Request target = makeRequest({9, 4, 31, 6}, 100);
+    target.top_k = 4;
+    std::vector<Request> rows;
+    for (int64_t i = 0; i < smallSessionConfig().slots; ++i) {
+        Request r = makeRequest(
+            std::vector<int64_t>(static_cast<size_t>(1 + i % 7), 10 + i),
+            i);
+        r.top_k = 3;
+        rows.push_back(i == 5 ? target : r);
     }
 
-    std::vector<Response> ref;
-    session.runBatch(solo, ref);
-    ASSERT_EQ(ref.size(), 1u);
-
+    const Response ref = session.runDirect(target);
+    ASSERT_TRUE(ref.ok);
     for (int threads : {1, 2, 4}) {
         ThreadPool::setGlobalNumThreads(threads);
-        std::vector<Response> solo_out, packed_out;
-        session.runBatch(solo, solo_out);
-        session.runBatch(packed, packed_out);
-        ASSERT_EQ(solo_out.size(), 1u);
-        ASSERT_EQ(packed_out.size(), 8u);
-        EXPECT_EQ(solo_out[0].tokens, ref[0].tokens)
-            << "threads=" << threads;
-        EXPECT_EQ(solo_out[0].scores, ref[0].scores)
-            << "threads=" << threads;
-        EXPECT_EQ(packed_out[5].tokens, ref[0].tokens)
-            << "threads=" << threads;
-        EXPECT_EQ(packed_out[5].scores, ref[0].scores)
-            << "threads=" << threads;
+        const std::vector<Response> out = decodeFullLane(session, 0, rows);
+        EXPECT_EQ(out[5].id, 100);
+        EXPECT_EQ(out[5].tokens, ref.tokens) << "threads=" << threads;
+        EXPECT_EQ(out[5].scores, ref.scores) << "threads=" << threads;
     }
     ThreadPool::setGlobalNumThreads(ThreadPool::defaultNumThreads());
 }
 
+/** The NMT half: a greedy target in row 2 of a full bucket lane whose
+ *  neighbours vary in source and budget.  Beam requests never ride a
+ *  lane; their direct decode must be thread-count independent too. */
 TEST(Session, NmtPayloadIndependentOfBatchAndThreads)
 {
     NmtSession session(tinyNmtConfig(), tinyNmtParams(),
                        smallSessionConfig());
     const std::vector<int64_t> sentence{5, 9, 13, 4};
-
-    MicroBatch solo;
-    solo.bucket_len = 8;
-    {
-        Request greedy = makeRequest(sentence, 0);
-        greedy.max_new_tokens = 6;
-        Request beam = makeRequest(sentence, 1);
-        beam.max_new_tokens = 6;
-        beam.beam_width = 3;
-        solo.requests = {greedy, beam};
+    Request target = makeRequest(sentence, 100);
+    target.max_new_tokens = 6;
+    Request beam = makeRequest(sentence, 101);
+    beam.max_new_tokens = 6;
+    beam.beam_width = 3;
+    std::vector<Request> rows;
+    for (int64_t i = 0; i < smallSessionConfig().slots; ++i) {
+        Request r = makeRequest(
+            std::vector<int64_t>(static_cast<size_t>(2 + i % 5), 11 + i),
+            i);
+        r.max_new_tokens = 1 + i % 6;
+        rows.push_back(i == 2 ? target : r);
     }
-    MicroBatch packed;
-    packed.bucket_len = 8;
-    for (int64_t i = 0; i < 8; ++i) {
-        Request r;
-        if (i == 2) {
-            r = makeRequest(sentence, 100);
-        } else if (i == 6) {
-            r = makeRequest(sentence, 101);
-            r.beam_width = 3;
-        } else {
-            r = makeRequest(std::vector<int64_t>(
-                                static_cast<size_t>(2 + i % 5), 11 + i),
-                            i);
-            r.beam_width = i % 2 == 0 ? 1 : 2;
-        }
-        r.max_new_tokens = 6;
-        packed.requests.push_back(r);
-    }
+    ASSERT_EQ(session.laneOf(target), 0);
+    ASSERT_EQ(session.laneOf(beam), InferenceSession::kDirectLane);
 
-    std::vector<Response> ref;
-    session.runBatch(solo, ref);
-    ASSERT_EQ(ref.size(), 2u);
-    EXPECT_TRUE(ref[0].ok);
-    EXPECT_TRUE(ref[1].ok);
-
+    const Response ref = session.runDirect(target);
+    const Response beam_ref = session.runDirect(beam);
+    ASSERT_TRUE(ref.ok);
+    ASSERT_TRUE(beam_ref.ok);
+    ASSERT_FALSE(ref.tokens.empty());
     for (int threads : {1, 2, 4}) {
         ThreadPool::setGlobalNumThreads(threads);
-        std::vector<Response> out;
-        session.runBatch(packed, out);
-        ASSERT_EQ(out.size(), 8u);
-        EXPECT_EQ(out[2].tokens, ref[0].tokens) << "threads=" << threads;
-        EXPECT_EQ(out[2].scores, ref[0].scores) << "threads=" << threads;
-        EXPECT_EQ(out[6].tokens, ref[1].tokens) << "threads=" << threads;
-        EXPECT_EQ(out[6].scores, ref[1].scores) << "threads=" << threads;
+        const std::vector<Response> out = decodeFullLane(session, 0, rows);
+        EXPECT_EQ(out[2].id, 100);
+        EXPECT_EQ(out[2].tokens, ref.tokens) << "threads=" << threads;
+        EXPECT_EQ(out[2].scores, ref.scores) << "threads=" << threads;
+        const Response b = session.runDirect(beam);
+        EXPECT_EQ(b.tokens, beam_ref.tokens) << "threads=" << threads;
+        EXPECT_EQ(b.scores, beam_ref.scores) << "threads=" << threads;
     }
     ThreadPool::setGlobalNumThreads(ThreadPool::defaultNumThreads());
 }
@@ -353,14 +332,9 @@ TEST(Session, BeamWidthOneMatchesGreedyTokens)
     NmtSession session(mcfg, params, scfg);
 
     // Greedy decode through the session.
-    MicroBatch mb;
-    mb.bucket_len = 8;
     Request r = makeRequest({3, 17, 8}, 0);
     r.max_new_tokens = 6;
-    mb.requests.push_back(r);
-    std::vector<Response> out;
-    session.runBatch(mb, out);
-    ASSERT_EQ(out.size(), 1u);
+    const Response out = session.runDirect(r);
 
     // Width-1 beam search on a standalone single-row decoder over the
     // same weights must pick the same token at every step.
@@ -375,7 +349,7 @@ TEST(Session, BeamWidthOneMatchesGreedyTokens)
     const models::NmtDecoder::Encoded enc = dec.encode(params, src);
     const BeamHypothesis hyp =
         beamSearch(dec, params, enc, 1, r.max_new_tokens);
-    EXPECT_EQ(hyp.tokens, out[0].tokens);
+    EXPECT_EQ(hyp.tokens, out.tokens);
 }
 
 // ------------------------------------------------------------ server --
@@ -441,6 +415,55 @@ TEST(Server, RejectsInvalidAndLateRequests)
     EXPECT_EQ(stats.rejected, 3);
 }
 
+/**
+ * A token outside the model's input vocabulary (LM vocab 50, NMT source
+ * vocab 40), negatives included, fails only its own request at
+ * admission: it never reaches an embedding lookup, and the valid
+ * requests around it are served.
+ */
+TEST(Server, RejectsOutOfVocabTokensAndServesTheRest)
+{
+    std::vector<std::unique_ptr<InferenceSession>> sessions;
+    sessions.push_back(std::make_unique<WordLmSession>(
+        tinyLmConfig(), tinyLmParams(), smallSessionConfig()));
+    sessions.push_back(std::make_unique<NmtSession>(
+        tinyNmtConfig(), tinyNmtParams(), smallSessionConfig()));
+    Server server(std::move(sessions), ServerConfig{});
+
+    struct Case
+    {
+        const char *model;
+        std::vector<int64_t> tokens;
+        bool valid;
+    };
+    const std::vector<Case> cases = {
+        {"word_lm", {3, 4, 5}, true},   {"word_lm", {3, 4, 50}, false},
+        {"word_lm", {3, 49}, true},     {"nmt", {5, 9, 13}, true},
+        {"nmt", {5, 40, 13}, false},    {"nmt", {-1, 9}, false},
+        {"word_lm", {-7}, false},       {"nmt", {39, 4}, true},
+    };
+    std::vector<std::future<Response>> futures;
+    for (const Case &c : cases) {
+        Request r = makeRequest(c.tokens);
+        r.model = c.model;
+        r.max_new_tokens = 4;
+        futures.push_back(server.submit(std::move(r)));
+    }
+    for (size_t i = 0; i < cases.size(); ++i) {
+        const Response resp = futures[i].get();
+        if (cases[i].valid) {
+            EXPECT_TRUE(resp.ok) << "case " << i;
+            EXPECT_EQ(resp.reject, RejectReason::kNone) << "case " << i;
+        } else {
+            EXPECT_FALSE(resp.ok) << "case " << i;
+            EXPECT_EQ(resp.reject, RejectReason::kBadToken) << "case " << i;
+        }
+    }
+    server.stop();
+    EXPECT_EQ(server.stats().rejected, 4);
+    EXPECT_EQ(server.stats().completed, 4);
+}
+
 TEST(RequestQueue, BatchTierShedsAtTheAdmitLine)
 {
     // Capacity 4 with a shed line of 2: batch-tier requests reject
@@ -481,6 +504,7 @@ TEST(RequestQueue, TierAndNewRejectReasonNamesAreStable)
                  "overloaded");
     EXPECT_STREQ(rejectReasonName(RejectReason::kBadModel),
                  "bad-model");
+    EXPECT_STREQ(rejectReasonName(RejectReason::kBadToken), "bad-token");
     EXPECT_STREQ(rejectReasonName(RejectReason::kCancelled),
                  "cancelled");
     EXPECT_STREQ(rejectReasonName(RejectReason::kExpired),
@@ -784,19 +808,9 @@ TEST(ContinuousServer, MixedTrafficRoutesByModelAndMatchesReference)
     beam.beam_width = 3;
     beam.model = "nmt";
 
-    std::vector<Response> ref;
-    {
-        MicroBatch mb;
-        mb.bucket_len = 8;
-        mb.requests = {lm_req};
-        std::vector<Response> out;
-        lm_ref.runBatch(mb, out);
-        ref.push_back(out[0]);
-        mb.requests = {greedy, beam};
-        nmt_ref.runBatch(mb, out);
-        ref.push_back(out[0]);
-        ref.push_back(out[1]);
-    }
+    const std::vector<Response> ref = {lm_ref.runDirect(lm_req),
+                                       nmt_ref.runDirect(greedy),
+                                       nmt_ref.runDirect(beam)};
 
     std::vector<std::unique_ptr<InferenceSession>> sessions;
     sessions.push_back(makeLmSession());
@@ -922,22 +936,17 @@ TEST(Server, ResponsePayloadMatchesDirectSession)
 
     WordLmSession direct(tinyLmConfig(), tinyLmParams(),
                          smallSessionConfig());
-    MicroBatch mb;
-    mb.bucket_len = 8;
     Request r = makeRequest(prefix, 0);
     r.top_k = 5;
-    mb.requests.push_back(r);
-    std::vector<Response> ref;
-    direct.runBatch(mb, ref);
-    ASSERT_EQ(ref.size(), 1u);
+    const Response ref = direct.runDirect(r);
 
     Server server(makeLmSession(), ServerConfig{});
     Request req = makeRequest(prefix);
     req.top_k = 5;
     const Response resp = server.submit(std::move(req)).get();
     EXPECT_TRUE(resp.ok);
-    EXPECT_EQ(resp.tokens, ref[0].tokens);
-    EXPECT_EQ(resp.scores, ref[0].scores);
+    EXPECT_EQ(resp.tokens, ref.tokens);
+    EXPECT_EQ(resp.scores, ref.scores);
 }
 
 } // namespace

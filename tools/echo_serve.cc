@@ -22,14 +22,21 @@
  * in the format `echo-lint --serve-journal=PATH` checks — closing the
  * loop between the serving layer and the static analyzer.
  *
+ * A token id outside the model's input vocabulary is not a usage
+ * error: that one request resolves `FAILED reason=bad-token` and the
+ * rest are served.
+ *
  * Exit status: 0 when every submitted request resolved as expected
  * (cancelled requests count as expected when a cancel was asked for),
- * 1 otherwise, 2 on usage errors.
+ * 1 otherwise, 2 on usage errors — an unknown flag, a malformed flag
+ * value, or a request-file field that is not a number where one is
+ * expected (reported as `FILE:LINE: bad token 'x'`).
  *
  * usage: echo-serve --ckpt=PATH[,PATH...] [--requests=FILE] [--slots=N]
  *                   [--buckets=8,16,32] [--beam=K] [--max-new=N]
  *                   [--queue=N] [--threads=N] [--journal=PATH]
  */
+#include <charconv>
 #include <chrono>
 #include <fstream>
 #include <future>
@@ -75,13 +82,28 @@ splitCommas(const std::string &spec)
     return items;
 }
 
-std::vector<int64_t>
-parseBuckets(const std::string &spec)
+/** Parse all of @p text as a decimal integer; false on anything else
+ *  (empty, trailing junk, out of range). */
+template <typename T>
+bool
+parseInt(const std::string &text, T &out)
 {
-    std::vector<int64_t> buckets;
-    for (const std::string &item : splitCommas(spec))
-        buckets.push_back(std::stoll(item));
-    return buckets;
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+    return ec == std::errc() && ptr == end;
+}
+
+bool
+parseBuckets(const std::string &spec, std::vector<int64_t> &buckets)
+{
+    buckets.clear();
+    for (const std::string &item : splitCommas(spec)) {
+        int64_t b = 0;
+        if (!parseInt(item, b))
+            return false;
+        buckets.push_back(b);
+    }
+    return true;
 }
 
 bool
@@ -89,6 +111,7 @@ parseArgs(int argc, char **argv, ServeOptions &opts)
 {
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
+        bool good = true;
         if (arg.rfind("--ckpt=", 0) == 0) {
             opts.ckpts = splitCommas(arg.substr(7));
         } else if (arg.rfind("--requests=", 0) == 0) {
@@ -96,20 +119,23 @@ parseArgs(int argc, char **argv, ServeOptions &opts)
         } else if (arg.rfind("--journal=", 0) == 0) {
             opts.journal_path = arg.substr(10);
         } else if (arg.rfind("--slots=", 0) == 0) {
-            opts.session.slots = std::stoll(arg.substr(8));
+            good = parseInt(arg.substr(8), opts.session.slots);
         } else if (arg.rfind("--buckets=", 0) == 0) {
-            opts.session.buckets = parseBuckets(arg.substr(10));
+            good = parseBuckets(arg.substr(10), opts.session.buckets);
         } else if (arg.rfind("--beam=", 0) == 0) {
-            opts.session.beam_width = std::stoi(arg.substr(7));
+            good = parseInt(arg.substr(7), opts.session.beam_width);
         } else if (arg.rfind("--max-new=", 0) == 0) {
-            opts.max_new_tokens = std::stoll(arg.substr(10));
+            good = parseInt(arg.substr(10), opts.max_new_tokens);
         } else if (arg.rfind("--queue=", 0) == 0) {
-            opts.server.queue_capacity =
-                static_cast<size_t>(std::stoull(arg.substr(8)));
+            good = parseInt(arg.substr(8), opts.server.queue_capacity);
         } else if (arg.rfind("--threads=", 0) == 0) {
-            opts.threads = std::stoi(arg.substr(10));
+            good = parseInt(arg.substr(10), opts.threads);
         } else {
             std::cerr << "echo-serve: unknown argument " << arg << "\n";
+            return false;
+        }
+        if (!good) {
+            std::cerr << "echo-serve: bad value in " << arg << "\n";
             return false;
         }
     }
@@ -131,7 +157,9 @@ loadRequests(const std::string &path, int64_t max_new,
         return false;
     }
     std::string line;
+    int64_t lineno = 0;
     while (std::getline(in, line)) {
+        ++lineno;
         if (line.empty() || line[0] == '#')
             continue;
         std::istringstream fields(line);
@@ -140,22 +168,31 @@ loadRequests(const std::string &path, int64_t max_new,
         req.max_new_tokens = max_new;
         std::string tok;
         while (fields >> tok) {
-            if (tok.rfind("beam=", 0) == 0)
-                req.beam_width = std::stoi(tok.substr(5));
-            else if (tok.rfind("topk=", 0) == 0)
-                req.top_k = std::stoi(tok.substr(5));
-            else if (tok.rfind("model=", 0) == 0)
+            bool good = true;
+            if (tok.rfind("beam=", 0) == 0) {
+                good = parseInt(tok.substr(5), req.beam_width);
+            } else if (tok.rfind("topk=", 0) == 0) {
+                good = parseInt(tok.substr(5), req.top_k);
+            } else if (tok.rfind("model=", 0) == 0) {
                 req.model = tok.substr(6);
-            else if (tok.rfind("tier=", 0) == 0)
+            } else if (tok.rfind("tier=", 0) == 0) {
                 req.tier = tok.substr(5) == "interactive"
                                ? serve::Tier::kInteractive
                                : serve::Tier::kBatch;
-            else if (tok.rfind("deadline-us=", 0) == 0)
-                req.deadline_us = std::stoll(tok.substr(12));
-            else if (tok.rfind("cancel-after-us=", 0) == 0)
-                planned.cancel_after_us = std::stoll(tok.substr(16));
-            else
-                req.tokens.push_back(std::stoll(tok));
+            } else if (tok.rfind("deadline-us=", 0) == 0) {
+                good = parseInt(tok.substr(12), req.deadline_us);
+            } else if (tok.rfind("cancel-after-us=", 0) == 0) {
+                good = parseInt(tok.substr(16), planned.cancel_after_us);
+            } else {
+                int64_t id = 0;
+                good = parseInt(tok, id);
+                req.tokens.push_back(id);
+            }
+            if (!good) {
+                std::cerr << path << ":" << lineno << ": bad token '"
+                          << tok << "'\n";
+                return false;
+            }
         }
         out.push_back(std::move(planned));
     }

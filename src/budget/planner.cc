@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <sstream>
@@ -293,7 +294,23 @@ parseByteSize(const std::string &text, int64_t *bytes)
         scale = 1024.0 * 1024.0 * 1024.0;
     else
         return false;
-    *bytes = static_cast<int64_t>(std::llround(value * scale));
+    const double scaled = value * scale;
+    // 2^63 is the first double past INT64_MAX; NaN fails the compare.
+    if (!(scaled < 9223372036854775808.0))
+        return false;
+    *bytes = static_cast<int64_t>(std::llround(scaled));
+    return true;
+}
+
+bool
+parseFraction(const std::string &text, double *fraction)
+{
+    const char *end = text.data() + text.size();
+    double value = 0.0;
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    if (ec != std::errc() || ptr != end || !(value > 0.0 && value <= 1.0))
+        return false;
+    *fraction = value;
     return true;
 }
 

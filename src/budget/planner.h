@@ -116,8 +116,13 @@ BudgetPlan planWithBudget(graph::Graph &graph,
                           const BudgetConfig &config);
 
 /** Parse "268435456", "256KiB" / "256KB" / "256K", "2MiB", "1.5GiB"
- *  (binary units) into bytes; false on malformed input. */
+ *  (binary units) into bytes; false on malformed input, including a
+ *  non-finite or negative value and one past INT64_MAX bytes. */
 bool parseByteSize(const std::string &text, int64_t *bytes);
+
+/** Parse all of @p text as a budget fraction in (0, 1]; false on
+ *  anything else (trailing text, non-finite, out of range). */
+bool parseFraction(const std::string &text, double *fraction);
 
 /** "1.50 GiB"-style rendering for diagnostics. */
 std::string formatBytes(int64_t bytes);

@@ -360,59 +360,29 @@ solveGreedy(const ItemSet &set, int64_t required_reduction)
     // The Echo pass's selection, re-targeted: amortized multiplicity
     // ranking, provisional acceptance against the evolving state, but
     // stopping at the reduction target instead of a replay-time budget.
+    std::vector<const pass::Candidate *> cands;
+    cands.reserve(set.items.size());
+    for (const Item &item : set.items)
+        cands.push_back(&item.cand);
     pass::SelectionState state;
-    for (const Item &item : set.items) {
-        for (const Val &v : item.cand.frontier)
-            ++state.frontier_multiplicity[v];
-        if (set.config.fuse_replay)
-            for (const Val &v : item.cand.pinned_interior)
-                ++state.frontier_multiplicity[v];
-    }
-
-    struct Ranked
-    {
-        int index;
-        double ratio;
-    };
-    std::vector<Ranked> ranked;
-    for (size_t i = 0; i < set.items.size(); ++i) {
-        const pass::CandidateCost cost = pass::evaluateCandidate(
-            set.items[i].cand, set.feature_maps, state,
-            set.config.gpu, set.config.fuse_replay);
-        if (cost.netSavings() <= 0)
-            continue;
-        ranked.push_back(
-            {static_cast<int>(i),
-             static_cast<double>(cost.netSavings()) /
-                 std::max(0.5, cost.replay_time_us)});
-    }
-    std::sort(ranked.begin(), ranked.end(),
-              [&](const Ranked &a, const Ranked &b) {
-                  if (a.ratio != b.ratio)
-                      return a.ratio > b.ratio;
-                  return set.items[static_cast<size_t>(a.index)]
-                             .cand.target.val.node->id <
-                         set.items[static_cast<size_t>(b.index)]
-                             .cand.target.val.node->id;
-              });
+    const std::vector<size_t> ranked =
+        pass::rankByRatio(cands, set.feature_maps, set.config.gpu,
+                          set.config.fuse_replay, state);
 
     const std::vector<JointCost::ItemEffect> effects =
         JointCost::effectsOf(set);
     JointCost jc(set);
     int steps = 0;
-    for (const Ranked &r : ranked) {
+    for (const size_t index : ranked) {
         if (jc.cost().netSavings() >= required_reduction)
             break;
         const pass::CandidateCost cost = pass::evaluateCandidate(
-            set.items[static_cast<size_t>(r.index)].cand,
-            set.feature_maps, state, set.config.gpu,
+            *cands[index], set.feature_maps, state, set.config.gpu,
             set.config.fuse_replay);
         if (cost.netSavings() <= 0)
             continue;
-        pass::noteAccepted(state,
-                           set.items[static_cast<size_t>(r.index)].cand,
-                           set.config.fuse_replay);
-        jc.add(r.index, effects[static_cast<size_t>(r.index)]);
+        pass::noteAccepted(state, *cands[index], set.config.fuse_replay);
+        jc.add(static_cast<int>(index), effects[index]);
         ++steps;
     }
     return resultOf(jc, required_reduction, steps);

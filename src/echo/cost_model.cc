@@ -115,6 +115,41 @@ noteAccepted(SelectionState &state, const Candidate &cand,
             state.recomputed.insert(n->out(i));
 }
 
+std::vector<size_t>
+rankByRatio(const std::vector<const Candidate *> &cands,
+            const std::vector<FeatureMap> &all_feature_maps,
+            const gpusim::GpuSpec &gpu, bool per_step_fusion,
+            SelectionState &state)
+{
+    for (const Candidate *cand : cands) {
+        for (const Val &v : cand->frontier)
+            ++state.frontier_multiplicity[v];
+        if (per_step_fusion)
+            for (const Val &v : cand->pinned_interior)
+                ++state.frontier_multiplicity[v];
+    }
+
+    std::vector<double> ratio(cands.size(), 0.0);
+    std::vector<size_t> order;
+    for (size_t i = 0; i < cands.size(); ++i) {
+        const CandidateCost cost = evaluateCandidate(
+            *cands[i], all_feature_maps, state, gpu, per_step_fusion);
+        if (cost.netSavings() <= 0)
+            continue;
+        // Savings per microsecond of replay; replay below the kernel
+        // overhead floor is effectively free.
+        ratio[i] = static_cast<double>(cost.netSavings()) /
+                   std::max(0.5, cost.replay_time_us);
+        order.push_back(i);
+    }
+    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+        if (ratio[a] != ratio[b])
+            return ratio[a] > ratio[b];
+        return cands[a]->target.val.node->id < cands[b]->target.val.node->id;
+    });
+    return order;
+}
+
 SetCost
 evaluateAcceptedSet(const std::vector<const Candidate *> &accepted,
                     const std::vector<FeatureMap> &all_feature_maps,

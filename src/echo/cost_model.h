@@ -85,6 +85,22 @@ evaluateCandidate(const Candidate &cand,
 void noteAccepted(SelectionState &state, const Candidate &cand,
                   bool per_step_fusion);
 
+/**
+ * The best-ratio ranking of the Echo selection, shared by the recompute
+ * pass and the budget planner's greedy solver.  Seeds @p state's
+ * frontier multiplicity from every candidate in @p cands (frontier and,
+ * under per-step fusion, cross-step pinned interior) so shared stash
+ * costs amortize across a family, evaluates each candidate against
+ * that state, and returns the indices of those with positive net
+ * savings: best netSavings / max(0.5 us, replay time) first, ties
+ * broken by target node id.
+ */
+std::vector<size_t>
+rankByRatio(const std::vector<const Candidate *> &cands,
+            const std::vector<FeatureMap> &all_feature_maps,
+            const gpusim::GpuSpec &gpu, bool per_step_fusion,
+            SelectionState &state);
+
 /** Full-charge joint cost of an accepted set (order-independent). */
 struct SetCost
 {

@@ -14,31 +14,10 @@
 
 namespace echo::pass {
 
-namespace {
-
-/** A candidate with its at-selection-time evaluation. */
-struct Scored
-{
-    Candidate cand;
-    CandidateCost cost;
-
-    double
-    ratio() const
-    {
-        // Savings per microsecond of replay; replay below the kernel
-        // overhead floor is effectively free.
-        return static_cast<double>(cost.netSavings()) /
-               std::max(0.5, cost.replay_time_us);
-    }
-};
-
-} // namespace
-
 std::vector<Candidate>
 enumerateCandidates(const std::vector<FeatureMap> &fms,
                     const std::vector<Val> &fetches,
-                    const PassConfig &config, SelectionState *state,
-                    PassResult *res)
+                    const PassConfig &config, PassResult *res)
 {
     static obs::Counter &c_candidates = obs::counter("echo.candidates");
     static obs::Counter &c_admissible = obs::counter("echo.admissible");
@@ -69,13 +48,6 @@ enumerateCandidates(const std::vector<FeatureMap> &fms,
         if (res != nullptr)
             ++res->num_admissible;
         c_admissible.add(1);
-        if (state != nullptr) {
-            for (const Val &v : cand.frontier)
-                ++state->frontier_multiplicity[v];
-            if (config.fuse_replay)
-                for (const Val &v : cand.pinned_interior)
-                    ++state->frontier_multiplicity[v];
-        }
         candidates.push_back(std::move(cand));
     }
     return candidates;
@@ -284,41 +256,27 @@ runRecomputePass(graph::Graph &g, const std::vector<Val> &fetches,
             : config.overhead_budget_fraction *
                   baseline.gpu_kernel_time_us;
 
-    // Build candidates; enumeration collects the sharing multiplicity
-    // of each chargeable value — frontier and, under per-step fusion,
-    // cross-step pinned interior — so stash costs are amortized jointly
-    // across a family of regions.
+    // Best savings-per-overhead first, with stash costs amortized
+    // jointly across each family of regions sharing a value.
+    const std::vector<Candidate> candidates =
+        enumerateCandidates(fms, fetches, config, &res);
+    std::vector<const Candidate *> all;
+    all.reserve(candidates.size());
+    for (const Candidate &cand : candidates)
+        all.push_back(&cand);
     SelectionState state;
-    std::vector<Candidate> candidates =
-        enumerateCandidates(fms, fetches, config, &state, &res);
-
-    std::vector<Scored> scored;
-    for (Candidate &cand : candidates) {
-        Scored s;
-        s.cost = evaluateCandidate(cand, fms, state, config.gpu,
-                                   config.fuse_replay);
-        s.cand = std::move(cand);
-        if (s.cost.netSavings() > 0)
-            scored.push_back(std::move(s));
-    }
-
-    // Best savings-per-overhead first.
-    std::sort(scored.begin(), scored.end(),
-              [](const Scored &a, const Scored &b) {
-                  if (a.ratio() != b.ratio())
-                      return a.ratio() > b.ratio();
-                  return a.cand.target.val.node->id <
-                         b.cand.target.val.node->id;
-              });
+    const std::vector<size_t> ranked = rankByRatio(
+        all, fms, config.gpu, config.fuse_replay, state);
 
     // Greedy provisional acceptance with re-evaluation against the
     // evolving state.  Charges stay amortized here so a family of
     // regions sharing a large frontier can get in together.
     double replay_used_us = 0.0;
-    std::vector<const Scored *> accepted_scored;
-    for (Scored &s : scored) {
+    std::vector<const Candidate *> accepted;
+    for (const size_t index : ranked) {
+        const Candidate &cand = candidates[index];
         const CandidateCost cost = evaluateCandidate(
-            s.cand, fms, state, config.gpu, config.fuse_replay);
+            cand, fms, state, config.gpu, config.fuse_replay);
         // One decision event per candidate region: the modeled savings
         // and replay cost the selection acted on (paper Fig. 5/6 are
         // assembled from exactly these numbers).
@@ -330,8 +288,8 @@ runRecomputePass(graph::Graph &g, const std::vector<Val> &fetches,
                 'i', "echo",
                 net_positive && in_budget ? "region.accept"
                                           : "region.reject",
-                {{"target", s.cand.target.val.node->id},
-                 {"name", s.cand.target.val.node->name},
+                {{"target", cand.target.val.node->id},
+                 {"name", cand.target.val.node->name},
                  {"bytes_saved", cost.netSavings()},
                  {"replay_us", cost.replay_time_us},
                  {"reason", !net_positive ? "net_negative"
@@ -341,8 +299,8 @@ runRecomputePass(graph::Graph &g, const std::vector<Val> &fetches,
         if (!net_positive || !in_budget)
             continue;
         replay_used_us += cost.replay_time_us;
-        noteAccepted(state, s.cand, config.fuse_replay);
-        accepted_scored.push_back(&s);
+        noteAccepted(state, cand, config.fuse_replay);
+        accepted.push_back(&cand);
     }
 
     // Amortization divides a shared value's cost among every admissible
@@ -355,34 +313,28 @@ runRecomputePass(graph::Graph &g, const std::vector<Val> &fetches,
     // dropped.  Iterate to a fixpoint since a drop can orphan another.
     for (bool changed = true; changed;) {
         changed = false;
-        for (size_t i = 0; i < accepted_scored.size(); ++i) {
+        for (size_t i = 0; i < accepted.size(); ++i) {
             SelectionState others;
-            for (size_t j = 0; j < accepted_scored.size(); ++j)
+            for (size_t j = 0; j < accepted.size(); ++j)
                 if (j != i)
-                    noteAccepted(others, accepted_scored[j]->cand,
-                                 config.fuse_replay);
+                    noteAccepted(others, *accepted[j], config.fuse_replay);
             const CandidateCost marginal = evaluateCandidate(
-                accepted_scored[i]->cand, fms, others, config.gpu,
-                config.fuse_replay);
+                *accepted[i], fms, others, config.gpu, config.fuse_replay);
             if (marginal.netSavings() <= 0) {
                 if (obs::traceEnabled()) {
                     obs::emitEvent(
                         'i', "echo", "region.pruned",
-                        {{"target",
-                          accepted_scored[i]->cand.target.val.node->id},
+                        {{"target", accepted[i]->target.val.node->id},
                          {"net_savings", marginal.netSavings()}});
                 }
-                accepted_scored.erase(accepted_scored.begin() +
-                                      static_cast<ptrdiff_t>(i));
+                accepted.erase(accepted.begin() +
+                               static_cast<ptrdiff_t>(i));
                 changed = true;
                 break;
             }
         }
     }
 
-    std::vector<const Candidate *> accepted;
-    for (const Scored *s : accepted_scored)
-        accepted.push_back(&s->cand);
     applyRecomputation(g, accepted, fms, config, res);
     return res;
 }

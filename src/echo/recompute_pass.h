@@ -91,20 +91,17 @@ PassResult runRecomputePass(graph::Graph &graph,
 /**
  * Enumerate the admissible recomputation candidates of @p fms under
  * @p config (fetched targets skipped, kManual restricted to its layer
- * tag).  When @p state is given, every admissible candidate's
- * chargeable values (frontier and, under fuse_replay, cross-step
- * pinned interior) accumulate into state->frontier_multiplicity so
- * shared stash costs amortize across the family during ranking.  When
- * @p res is given, num_candidates / num_admissible are filled in.
+ * tag).  When @p res is given, num_candidates / num_admissible are
+ * filled in.
  *
  * This is the shared front half of runRecomputePass; the budget
- * planner (src/budget) prices the same candidates under its solvers.
+ * planner (src/budget) prices the same candidates under its solvers,
+ * and both rank them with rankByRatio (echo/cost_model.h).
  */
 std::vector<Candidate>
 enumerateCandidates(const std::vector<FeatureMap> &fms,
                     const std::vector<Val> &fetches,
                     const PassConfig &config,
-                    SelectionState *state = nullptr,
                     PassResult *res = nullptr);
 
 /**

@@ -189,13 +189,12 @@ struct NmtDecoder::Graphs
 };
 
 NmtDecoder::NmtDecoder(const NmtConfig &config, int64_t batch,
-                       int64_t src_len, graph::ExecMode mode,
-                       const std::string &pipeline_spec)
+                       int64_t src_len)
     : config_(config), batch_(batch), src_len_(src_len),
       graphs_(std::make_unique<Graphs>())
 {
     const std::string spec =
-        pass::resolveSpec(pass::PipelineKind::kInference, pipeline_spec);
+        pass::resolveSpec(pass::PipelineKind::kInference);
     ECHO_REQUIRE(batch >= 1 && src_len >= 1,
                  "NmtDecoder needs batch >= 1 and src_len >= 1");
     // The decode graphs are built at this decoder's own batch and
@@ -221,7 +220,7 @@ NmtDecoder::NmtDecoder(const NmtConfig &config, int64_t batch,
         pass::buildPipeline(spec).runOrDie(ctx,
                                            "NmtDecoder encoder pipeline");
         d.enc_exec = std::make_unique<graph::Executor>(
-            std::vector<Val>{enc.hs, enc.keys}, mode);
+            std::vector<Val>{enc.hs, enc.keys});
     }
 
     // Step graph.
@@ -268,8 +267,7 @@ NmtDecoder::NmtDecoder(const NmtConfig &config, int64_t batch,
                                            "NmtDecoder step pipeline");
         d.step_exec = std::make_unique<graph::Executor>(
             std::vector<Val>{d.st_logits, d.st_h_out, d.st_c_out,
-                             d.st_attn_out},
-            mode);
+                             d.st_attn_out});
     }
 }
 
@@ -401,12 +399,6 @@ NmtModel::NmtModel(const NmtConfig &config,
     ctx.wrt.reserve(weights_.size());
     for (const auto &[name, val] : weights_)
         ctx.wrt.push_back(val);
-    ctx.has_layout_spec = true;
-    ctx.layout_spec.input_size = config.hidden;
-    ctx.layout_spec.hidden = config.hidden;
-    ctx.layout_spec.layers = config.enc_layers;
-    ctx.layout_spec.batch = config.batch;
-    ctx.layout_spec.seq_len = config.src_len;
     pipeline_spec_ =
         pass::resolveSpec(pass::PipelineKind::kTraining, pipeline_spec);
     const pass::PassManager pm = pass::buildPipeline(pipeline_spec_);

@@ -65,9 +65,7 @@ struct NmtConfig
 class NmtDecoder
 {
   public:
-    NmtDecoder(const NmtConfig &config, int64_t batch, int64_t src_len,
-               graph::ExecMode mode = graph::ExecMode::kAuto,
-               const std::string &pipeline_spec = "");
+    NmtDecoder(const NmtConfig &config, int64_t batch, int64_t src_len);
     ~NmtDecoder();
 
     NmtDecoder(const NmtDecoder &) = delete;

@@ -46,7 +46,6 @@ WordLmModel::WordLmModel(const WordLmConfig &config,
         spec.seq_len = t;
         stack = rnn::buildLstmStack(g, rnn_in, spec, config.backend,
                                     "lstm");
-        layout_spec_ = spec;
         for (size_t layer = 0; layer < stack.weights.size(); ++layer) {
             const std::string prefix =
                 "lstm.l" + std::to_string(layer);
@@ -87,8 +86,6 @@ WordLmModel::WordLmModel(const WordLmConfig &config,
     ctx.wrt.reserve(weights_.size());
     for (const auto &[name, val] : weights_)
         ctx.wrt.push_back(val);
-    ctx.has_layout_spec = true;
-    ctx.layout_spec = layout_spec_;
     pipeline_spec_ =
         pass::resolveSpec(pass::PipelineKind::kTraining, pipeline_spec);
     const pass::PassManager pm = pass::buildPipeline(pipeline_spec_);
@@ -130,9 +127,7 @@ struct WordLmStepper::Graphs
     std::unique_ptr<graph::Executor> exec;
 };
 
-WordLmStepper::WordLmStepper(const WordLmConfig &config, int64_t batch,
-                             graph::ExecMode mode,
-                             const std::string &pipeline_spec)
+WordLmStepper::WordLmStepper(const WordLmConfig &config, int64_t batch)
     : config_(config), batch_(batch),
       graphs_(std::make_unique<Graphs>())
 {
@@ -192,11 +187,9 @@ WordLmStepper::WordLmStepper(const WordLmConfig &config, int64_t batch,
     fetches.insert(fetches.end(), d.c_out.begin(), d.c_out.end());
     pass::PipelineContext ctx(g);
     ctx.fetches = fetches;
-    pass::buildPipeline(
-        pass::resolveSpec(pass::PipelineKind::kInference, pipeline_spec))
+    pass::buildPipeline(pass::resolveSpec(pass::PipelineKind::kInference))
         .runOrDie(ctx, "WordLmStepper pipeline");
-    d.exec = std::make_unique<graph::Executor>(std::move(fetches),
-                                               mode);
+    d.exec = std::make_unique<graph::Executor>(std::move(fetches));
 }
 
 WordLmStepper::~WordLmStepper() = default;

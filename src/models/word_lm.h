@@ -67,9 +67,6 @@ class WordLmModel
         return pipeline_report_;
     }
 
-    /** The stack's representative projection, for the layout pass. */
-    const rnn::LstmSpec &layoutSpec() const { return layout_spec_; }
-
     /** Initialize a fresh parameter store. */
     ParamStore initialParams(Rng &rng) const;
 
@@ -85,7 +82,6 @@ class WordLmModel
     std::vector<graph::Val> weight_grads_;
     std::vector<graph::Val> fetches_;
     fusion::FusionResult fusion_;
-    rnn::LstmSpec layout_spec_;
     std::string pipeline_spec_;
     pass::PipelineReport pipeline_report_;
 };
@@ -104,9 +100,7 @@ class WordLmModel
 class WordLmStepper
 {
   public:
-    WordLmStepper(const WordLmConfig &config, int64_t batch,
-                  graph::ExecMode mode = graph::ExecMode::kAuto,
-                  const std::string &pipeline_spec = "");
+    WordLmStepper(const WordLmConfig &config, int64_t batch);
     ~WordLmStepper();
 
     WordLmStepper(const WordLmStepper &) = delete;

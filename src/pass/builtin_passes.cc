@@ -1,21 +1,14 @@
 #include "pass/builtin_passes.h"
 
-#include <cstdlib>
-#include <map>
-#include <mutex>
-#include <sstream>
-
 #include <cmath>
+#include <cstdlib>
+#include <sstream>
 
 #include "budget/planner.h"
 #include "core/logging.h"
-#include "core/thread_pool.h"
 #include "graph/autodiff.h"
-#include "graph/gemm_keys.h"
-#include "graph/schedule.h"
 #include "memory/liveness.h"
 #include "memory/planner.h"
-#include "tune/tuner.h"
 
 namespace echo::pass {
 namespace {
@@ -40,11 +33,10 @@ class AutodiffPass : public Pass
     }
     std::vector<Invariant> invalidates() const override
     {
-        // One-shot: the graph is no longer "fresh forward", the
-        // backward projections launch GEMM shapes no warm-up has seen,
-        // and any earlier memory plan predates the backward nodes.
-        return {Invariant::kDifferentiable, Invariant::kGemmKeysWarm,
-                Invariant::kMemoryPlanned, Invariant::kPlanFeasible};
+        // One-shot: the graph is no longer "fresh forward", and any
+        // earlier memory plan predates the backward nodes.
+        return {Invariant::kDifferentiable, Invariant::kMemoryPlanned,
+                Invariant::kPlanFeasible};
     }
     void
     run(PipelineContext &ctx) override
@@ -130,82 +122,8 @@ class RecomputePass : public Pass
     }
 };
 
-/** TBH-vs-THB layout decision for the representative projection. */
-class LayoutPass : public Pass
-{
-  public:
-    const char *name() const override { return "layout"; }
-    std::vector<Invariant> establishes() const override
-    {
-        return {Invariant::kLayoutDecided};
-    }
-    void
-    run(PipelineContext &ctx) override
-    {
-        // Without a representative spec the default decision stands.
-        if (ctx.has_layout_spec)
-            ctx.layout = layout::chooseLayout(ctx.layout_spec, ctx.gpu);
-    }
-    std::vector<std::string> postconditionCheckers() const override
-    {
-        // Never touches the graph; nothing to re-verify.
-        return {};
-    }
-};
-
-/** Eager GEMM-key autotuner warm-up over the current schedule. */
-class GemmWarmPass : public Pass
-{
-  public:
-    const char *name() const override { return "gemm_warm"; }
-    std::vector<Invariant> establishes() const override
-    {
-        return {Invariant::kGemmKeysWarm};
-    }
-    void
-    run(PipelineContext &ctx) override
-    {
-        ctx.gemm_keys_warmed = 0;
-        const std::vector<graph::Val> eff = ctx.effectiveFetches();
-        if (eff.empty() || ops::tuneMode() == ops::TuneMode::kOff)
-            return;
-        tune::ensureGlobalTuner();
-        // Measuring schedules is a search-mode decision (mirrors the
-        // executor): under kCache the registry is read-only.
-        if (ops::tuneMode() != ops::TuneMode::kSearch)
-            return;
-        const std::vector<graph::Node *> schedule =
-            graph::buildSchedule(eff);
-        ctx.gemm_keys_warmed = tune::globalTuner().warmKeys(
-            graph::collectGemmKeys(schedule,
-                                   ThreadPool::global().numThreads()));
-    }
-    std::vector<std::string> postconditionCheckers() const override
-    {
-        return {};
-    }
-};
-
-/** No transform: re-audits the fusion journal.  Requires the journal
- *  to still be intact — "audit_fusion" after "recompute" is the
- *  canonical statically-illegal established-then-clobbered example. */
-class AuditFusionPass : public Pass
-{
-  public:
-    const char *name() const override { return "audit_fusion"; }
-    std::vector<Invariant> preconditions() const override
-    {
-        return {Invariant::kFusionJournal};
-    }
-    void run(PipelineContext &) override {}
-    std::vector<std::string> postconditionCheckers() const override
-    {
-        return {"fusion-audit"};
-    }
-};
-
-/** No transform: runs every registered checker (verification as a
- *  pipeline stage: append 'verify' to a spec). */
+/** No transform: runs every checker (verification as a pipeline
+ *  stage: append 'verify' to a spec). */
 class VerifyPass : public Pass
 {
   public:
@@ -309,12 +227,7 @@ class RecomputeBudgetPass : public Pass
                 if (!budget::parseByteSize(value, &bytes_) || bytes_ <= 0)
                     return fail("bad byte size '" + value + "'");
             } else if (key == "fraction") {
-                try {
-                    fraction_ = std::stod(value);
-                } catch (...) {
-                    return fail("bad fraction '" + value + "'");
-                }
-                if (!(fraction_ > 0.0 && fraction_ <= 1.0))
+                if (!budget::parseFraction(value, &fraction_))
                     return fail("fraction must be in (0, 1], got '" +
                                 value + "'");
             } else if (key == "solver") {
@@ -379,45 +292,40 @@ class RecomputeBudgetPass : public Pass
 };
 
 // ---------------------------------------------------------------------
-// Registry
+// Pass table
 // ---------------------------------------------------------------------
 
-struct PassRegistry
+struct PassEntry
 {
-    std::mutex mu;
-    std::map<std::string, PassFactory> factories;
+    const char *name;
+    std::unique_ptr<Pass> (*make)();
 };
 
-PassRegistry &
-passRegistry()
-{
-    static PassRegistry reg;
-    return reg;
-}
-
-std::once_flag builtin_passes_once;
-
 template <typename T>
-PassFactory
-factoryOf()
+std::unique_ptr<Pass>
+makeOf()
 {
-    return [] { return std::make_unique<T>(); };
+    return std::make_unique<T>();
 }
 
-void
-ensureBuiltinPasses()
+/** Every pass a spec may name, sorted by name. */
+constexpr PassEntry kPasses[] = {
+    {"autodiff", makeOf<AutodiffPass>},
+    {"fusion", makeOf<FusionPass>},
+    {"plan", makeOf<PlanPass>},
+    {"recompute", makeOf<RecomputePass>},
+    {"recompute_budget", makeOf<RecomputeBudgetPass>},
+    {"verify", makeOf<VerifyPass>},
+};
+
+const PassEntry *
+findPass(const std::string &base)
 {
-    std::call_once(builtin_passes_once, [] {
-        registerPass("autodiff", factoryOf<AutodiffPass>());
-        registerPass("fusion", factoryOf<FusionPass>());
-        registerPass("recompute", factoryOf<RecomputePass>());
-        registerPass("layout", factoryOf<LayoutPass>());
-        registerPass("gemm_warm", factoryOf<GemmWarmPass>());
-        registerPass("audit_fusion", factoryOf<AuditFusionPass>());
-        registerPass("verify", factoryOf<VerifyPass>());
-        registerPass("plan", factoryOf<PlanPass>());
-        registerPass("recompute_budget", factoryOf<RecomputeBudgetPass>());
-    });
+    for (const PassEntry &entry : kPasses) {
+        if (base == entry.name)
+            return &entry;
+    }
+    return nullptr;
 }
 
 std::string
@@ -432,7 +340,7 @@ joinSpec(const std::vector<std::string> &names)
     return oss.str();
 }
 
-/** Split a spec element "name(args)" into its registered name and the
+/** Split a spec element "name(args)" into its pass name and the
  *  argument text between the parentheses ("" when absent).  False on
  *  unbalanced parentheses. */
 bool
@@ -454,41 +362,19 @@ splitPassElement(const std::string &element, std::string *base,
 
 } // namespace
 
-void
-registerPass(const std::string &name, PassFactory factory)
-{
-    ECHO_CHECK(factory != nullptr, "pass factory '", name, "' is null");
-    ECHO_CHECK(name.find(',') == std::string::npos,
-               "pass name '", name, "' may not contain a comma");
-    PassRegistry &reg = passRegistry();
-    std::lock_guard<std::mutex> lock(reg.mu);
-    auto [it, inserted] = reg.factories.emplace(name, std::move(factory));
-    (void)it;
-    ECHO_CHECK(inserted, "pass '", name, "' registered twice");
-}
-
 bool
 isRegisteredPass(const std::string &name)
 {
-    ensureBuiltinPasses();
     std::string base, args;
-    if (!splitPassElement(name, &base, &args))
-        return false;
-    PassRegistry &reg = passRegistry();
-    std::lock_guard<std::mutex> lock(reg.mu);
-    return reg.factories.count(base) != 0;
+    return splitPassElement(name, &base, &args) && findPass(base) != nullptr;
 }
 
 std::vector<std::string>
 registeredPassNames()
 {
-    ensureBuiltinPasses();
-    PassRegistry &reg = passRegistry();
-    std::lock_guard<std::mutex> lock(reg.mu);
     std::vector<std::string> names;
-    names.reserve(reg.factories.size());
-    for (const auto &[name, factory] : reg.factories)
-        names.push_back(name);
+    for (const PassEntry &entry : kPasses)
+        names.emplace_back(entry.name);
     return names;
 }
 
@@ -501,7 +387,6 @@ makePass(const std::string &name)
 std::unique_ptr<Pass>
 makePass(const std::string &name, std::string *error)
 {
-    ensureBuiltinPasses();
     std::string base, args;
     if (!splitPassElement(name, &base, &args)) {
         if (error != nullptr)
@@ -509,19 +394,13 @@ makePass(const std::string &name, std::string *error)
                      "' (expected name or name(args))";
         return nullptr;
     }
-    PassFactory factory;
-    {
-        PassRegistry &reg = passRegistry();
-        std::lock_guard<std::mutex> lock(reg.mu);
-        auto it = reg.factories.find(base);
-        if (it == reg.factories.end()) {
-            if (error != nullptr)
-                *error = "unknown pass '" + base + "'";
-            return nullptr;
-        }
-        factory = it->second;
+    const PassEntry *entry = findPass(base);
+    if (entry == nullptr) {
+        if (error != nullptr)
+            *error = "unknown pass '" + base + "'";
+        return nullptr;
     }
-    std::unique_ptr<Pass> pass = factory();
+    std::unique_ptr<Pass> pass = entry->make();
     std::string configure_error;
     if (!pass->configure(args, &configure_error)) {
         if (error != nullptr)
@@ -534,21 +413,6 @@ makePass(const std::string &name, std::string *error)
     return pass;
 }
 
-std::string
-presetSpec(const std::string &name)
-{
-    // Per-workload pipelines (one level deep: presets expand to real
-    // pass names only).  Serving graphs are forward-only, so no
-    // autodiff; gemm_warm pre-tunes the skewed decode shapes; the NMT
-    // preset re-audits the fusion journal because its attention chains
-    // are the most fusion-stressed graphs we build.
-    if (name == "serve-wordlm")
-        return "fusion,gemm_warm";
-    if (name == "serve-nmt")
-        return "fusion,audit_fusion,gemm_warm";
-    return "";
-}
-
 std::vector<std::string>
 parseSpec(const std::string &spec)
 {
@@ -559,16 +423,8 @@ parseSpec(const std::string &spec)
         const size_t first = current.find_first_not_of(" \t");
         if (first == std::string::npos)
             continue;
-        const std::string name =
-            current.substr(first, current.find_last_not_of(" \t") -
-                                      first + 1);
-        const std::string preset = presetSpec(name);
-        if (preset.empty()) {
-            names.push_back(name);
-            continue;
-        }
-        for (const std::string &expanded : parseSpec(preset))
-            names.push_back(expanded);
+        names.push_back(current.substr(
+            first, current.find_last_not_of(" \t") - first + 1));
     }
     if (names.size() == 1 && names[0] == "none")
         names.clear();
@@ -583,10 +439,6 @@ defaultSpec(PipelineKind kind)
         return "autodiff,fusion";
       case PipelineKind::kInference:
         return "fusion";
-      case PipelineKind::kServeWordLm:
-        return "serve-wordlm";
-      case PipelineKind::kServeNmt:
-        return "serve-nmt";
     }
     return "";
 }
@@ -600,8 +452,7 @@ resolveSpec(PipelineKind kind, const std::string &requested)
         env != nullptr && env[0] != '\0') {
         return env;
     }
-    // Presets expand, so the resolved spec always lists passes.
-    return joinSpec(parseSpec(defaultSpec(kind)));
+    return defaultSpec(kind);
 }
 
 PassManager

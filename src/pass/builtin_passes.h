@@ -1,16 +1,13 @@
 /**
  * @file
- * The built-in pass registry and pipeline-spec resolution.
+ * The fixed pass table and pipeline-spec resolution.
  *
- * Every transform in the repo registers here under a stable name:
+ * Every pipeline is built from these six passes, looked up by name:
  *
  *   autodiff     graph::backward over ctx.loss / ctx.wrt
  *   fusion       element-wise fusion (graph/fusion.h)
  *   recompute    the Echo recompute rewrite (echo/recompute_pass.h)
- *   layout       TBH-vs-THB layout decision (layout/layout_optimizer.h)
- *   gemm_warm    GEMM-key autotuner warm-up (graph/gemm_keys.h)
- *   audit_fusion re-audit of the fusion journal (no transform)
- *   verify       no transform; runs every registered checker
+ *   verify       no transform; runs every checker
  *   plan         memory plan of the current graph (memory/planner.h)
  *   recompute_budget(bytes=256MiB) | (fraction=0.5:solver=dp)
  *                budget-targeted recomputation (budget/planner.h)
@@ -26,7 +23,6 @@
 #ifndef ECHO_PASS_BUILTIN_PASSES_H
 #define ECHO_PASS_BUILTIN_PASSES_H
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -36,21 +32,17 @@
 namespace echo::pass {
 
 // ---------------------------------------------------------------------
-// Pass registry
+// Pass table
 // ---------------------------------------------------------------------
 
-using PassFactory = std::function<std::unique_ptr<Pass>()>;
-
-/** Register a pass factory under @p name (panics on duplicates). */
-void registerPass(const std::string &name, PassFactory factory);
-
-/** Whether @p name is a registered pass. */
+/** Whether @p name (a spec element, "name" or "name(args)") names a
+ *  pass in the table. */
 bool isRegisteredPass(const std::string &name);
 
-/** All registered pass names, sorted. */
+/** Every pass name in the table, sorted. */
 std::vector<std::string> registeredPassNames();
 
-/** A fresh instance of the registered pass, or nullptr when unknown.
+/** A fresh instance of the named pass, or nullptr when unknown.
  *  @p name may be a spec element with arguments ("name(args)"); the
  *  argument text is handed to Pass::configure. */
 std::unique_ptr<Pass> makePass(const std::string &name);
@@ -64,27 +56,14 @@ std::unique_ptr<Pass> makePass(const std::string &name,
 // Pipeline specs
 // ---------------------------------------------------------------------
 
-/** Split a spec on commas, trimming blanks, and expand preset names
- *  (see presetSpec) into their pass lists.  The spec "none" (or "")
+/** Split a spec on commas, trimming blanks.  The spec "none" (or "")
  *  yields an empty pipeline. */
 std::vector<std::string> parseSpec(const std::string &spec);
 
-/**
- * The pass list a named preset stands for, or "" when @p name is not a
- * preset.  Presets name whole per-workload pipelines usable anywhere a
- * spec is ("serve-wordlm" in ECHO_PASSES, echo-lint --pipeline, ...):
- *
- *   serve-wordlm   "fusion,gemm_warm"               (LM step graphs)
- *   serve-nmt      "fusion,audit_fusion,gemm_warm"  (NMT enc/dec graphs)
- */
-std::string presetSpec(const std::string &name);
-
 /** Which default a call site wants when no spec is given. */
 enum class PipelineKind {
-    kTraining,   ///< default "autodiff,fusion"
-    kInference,  ///< default "fusion" (forward-only step graphs)
-    kServeWordLm, ///< default preset "serve-wordlm"
-    kServeNmt,    ///< default preset "serve-nmt"
+    kTraining,  ///< default "autodiff,fusion"
+    kInference, ///< default "fusion" (forward-only step graphs)
 };
 
 /** The hard-coded default spec for @p kind (no env consulted). */
@@ -93,14 +72,14 @@ std::string defaultSpec(PipelineKind kind);
 /**
  * The spec a call site should run: @p requested when non-empty (a
  * constructor argument wins over everything), else ECHO_PASSES
- * verbatim, else defaultSpec(kind) with presets expanded.
+ * verbatim, else defaultSpec(kind).
  */
 std::string resolveSpec(PipelineKind kind,
                         const std::string &requested = "");
 
 /**
  * Build a PassManager from @p spec.  Unknown pass names are a user
- * error (ECHO_FATAL) naming the registered passes.
+ * error (ECHO_FATAL) naming the passes in the table.
  */
 PassManager buildPipeline(const std::string &spec);
 

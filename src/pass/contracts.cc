@@ -14,10 +14,6 @@ invariantName(Invariant inv)
         return "fusion-journal";
       case Invariant::kRecomputeApplied:
         return "recompute-applied";
-      case Invariant::kLayoutDecided:
-        return "layout-decided";
-      case Invariant::kGemmKeysWarm:
-        return "gemm-keys-warm";
       case Invariant::kMemoryPlanned:
         return "memory-planned";
       case Invariant::kPlanFeasible:

@@ -2,8 +2,8 @@
  * @file
  * Named invariant contracts of the pass pipeline.
  *
- * Every transform registered with the PassManager declares its contract
- * in terms of these invariants: which ones it needs to already hold
+ * Every pass in the pass table declares its contract in terms of these
+ * six invariants: which ones it needs to already hold
  * (`preconditions()` — the paper-facing docs call this `requires()`,
  * but `requires` is a C++20 keyword), which ones it `establishes()`,
  * and which previously established ones it `invalidates()`.  The
@@ -42,13 +42,6 @@ enum class Invariant : uint8_t {
      *  fusion pass retypes snapshot-era nodes in place and clobbers
      *  this. */
     kRecomputeApplied,
-    /** A data-layout decision (TBH vs THB) has been recorded for the
-     *  model's representative recurrent projection. */
-    kLayoutDecided,
-    /** The GEMM schedule registry has been warmed for every GEMM key
-     *  the current graph launches.  Any pass that appends GEMM-bearing
-     *  nodes (autodiff's backward projections) invalidates it. */
-    kGemmKeysWarm,
     /** ctx.plan holds a memory plan derived from the *current* graph
      *  (ctx.plan_liveness is the matching liveness analysis).
      *  Established by the plan pass; any pass that rewrites the graph

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <mutex>
 #include <sstream>
 
 #include "core/logging.h"
@@ -37,29 +36,14 @@ PipelineContext::initialInvariants() const
         initial.insert(Invariant::kDifferentiable);
     else
         initial.insert(Invariant::kGradients);
-    for (Invariant inv : assume)
-        initial.insert(inv);
     return initial;
 }
 
 // ---------------------------------------------------------------------
-// Checker registry
+// Checker table
 // ---------------------------------------------------------------------
 
 namespace {
-
-struct CheckerRegistry
-{
-    std::mutex mu;
-    std::map<std::string, Checker> checkers;
-};
-
-CheckerRegistry &
-checkerRegistry()
-{
-    static CheckerRegistry reg;
-    return reg;
-}
 
 /** Schedule-level checkers defer structural errors to graph-verify:
  *  building a schedule over a broken graph panics, so they no-op
@@ -219,78 +203,35 @@ checkPlanFeasible(const PipelineContext &ctx)
     return report;
 }
 
-/** Canonical replay order: the structural verifier first (the others
- *  defer to it), then schedule analyses, then the pass audits. */
-const char *const kBuiltinCheckerOrder[] = {
-    "graph-verify",    "lifetime",    "hazards",       "fusion-audit",
-    "recompute-audit", "memory-plan", "plan-feasible",
+struct CheckerEntry
+{
+    const char *name;
+    Checker fn;
 };
 
-std::once_flag builtin_checkers_once;
-
-void
-ensureBuiltinCheckers()
-{
-    std::call_once(builtin_checkers_once, [] {
-        registerChecker("graph-verify", checkGraphVerify);
-        registerChecker("lifetime", checkLifetime);
-        registerChecker("hazards", checkHazards);
-        registerChecker("fusion-audit", checkFusionAudit);
-        registerChecker("recompute-audit", checkRecomputeAudit);
-        registerChecker("memory-plan", checkMemoryPlan);
-        registerChecker("plan-feasible", checkPlanFeasible);
-    });
-}
-
-/** Every registered checker in deterministic replay order: builtins in
- *  kBuiltinCheckerOrder, then custom checkers sorted by name. */
-std::vector<std::string>
-replayCheckerOrder()
-{
-    std::vector<std::string> order;
-    for (const char *name : kBuiltinCheckerOrder)
-        order.emplace_back(name);
-    for (const std::string &name : registeredCheckerNames()) {
-        if (std::find(order.begin(), order.end(), name) == order.end())
-            order.push_back(name);
-    }
-    return order;
-}
+/** Every checker in canonical replay order: the structural verifier
+ *  first (the others defer to it), then schedule analyses, then the
+ *  pass audits. */
+constexpr CheckerEntry kCheckers[] = {
+    {"graph-verify", checkGraphVerify},
+    {"lifetime", checkLifetime},
+    {"hazards", checkHazards},
+    {"fusion-audit", checkFusionAudit},
+    {"recompute-audit", checkRecomputeAudit},
+    {"memory-plan", checkMemoryPlan},
+    {"plan-feasible", checkPlanFeasible},
+};
 
 } // namespace
-
-void
-registerChecker(const std::string &name, Checker fn)
-{
-    ECHO_CHECK(fn != nullptr, "checker '", name, "' is null");
-    CheckerRegistry &reg = checkerRegistry();
-    std::lock_guard<std::mutex> lock(reg.mu);
-    auto [it, inserted] = reg.checkers.emplace(name, std::move(fn));
-    (void)it;
-    ECHO_CHECK(inserted, "checker '", name, "' registered twice");
-}
 
 const Checker *
 findChecker(const std::string &name)
 {
-    ensureBuiltinCheckers();
-    CheckerRegistry &reg = checkerRegistry();
-    std::lock_guard<std::mutex> lock(reg.mu);
-    auto it = reg.checkers.find(name);
-    return it == reg.checkers.end() ? nullptr : &it->second;
-}
-
-std::vector<std::string>
-registeredCheckerNames()
-{
-    ensureBuiltinCheckers();
-    CheckerRegistry &reg = checkerRegistry();
-    std::lock_guard<std::mutex> lock(reg.mu);
-    std::vector<std::string> names;
-    names.reserve(reg.checkers.size());
-    for (const auto &[name, fn] : reg.checkers)
-        names.push_back(name);
-    return names;
+    for (const CheckerEntry &entry : kCheckers) {
+        if (name == entry.name)
+            return &entry.fn;
+    }
+    return nullptr;
 }
 
 // ---------------------------------------------------------------------
@@ -501,7 +442,6 @@ PassManager::validate(const std::set<Invariant> &initial) const
 PipelineReport
 PassManager::run(PipelineContext &ctx, const RunOptions &opts) const
 {
-    ensureBuiltinCheckers();
     const std::set<Invariant> initial = ctx.initialInvariants();
     const std::vector<ContractViolation> violations = validate(initial);
     if (!violations.empty()) {
@@ -517,8 +457,11 @@ PassManager::run(PipelineContext &ctx, const RunOptions &opts) const
     obs::counter("pass.pipeline.runs").add(1);
 
     PipelineReport report;
-    const std::vector<std::string> replay_order =
-        opts.all_checkers ? replayCheckerOrder() : std::vector<std::string>{};
+    std::vector<std::string> replay_order;
+    if (opts.all_checkers) {
+        for (const CheckerEntry &entry : kCheckers)
+            replay_order.emplace_back(entry.name);
+    }
 
     for (size_t i = 0; i < passes_.size(); ++i) {
         const Pass &pass = *passes_[i];
@@ -576,7 +519,7 @@ PassManager::run(PipelineContext &ctx, const RunOptions &opts) const
         for (const std::string &name : checker_names) {
             const Checker *checker = findChecker(name);
             ECHO_CHECK(checker != nullptr, "pass '", pass.name(),
-                       "' names unregistered postcondition checker '", name,
+                       "' names unknown postcondition checker '", name,
                        "'");
             const analysis::AnalysisReport result = (*checker)(ctx);
             stage.checkers_run.push_back(name);

@@ -2,9 +2,9 @@
  * @file
  * Contract-checked pass manager over the training dataflow graph.
  *
- * Every transform in the repo — autodiff, element-wise fusion, the Echo
- * recompute rewrite, layout choice, GEMM-key warming — registers as a
- * Pass that declares its invariant contract (preconditions /
+ * Every graph transform — autodiff, element-wise fusion, the Echo
+ * recompute rewrite, the memory plan and the budget-targeted rewrite —
+ * is a Pass that declares its invariant contract (preconditions /
  * establishes / invalidates, see pass/contracts.h).  The PassManager
  *
  *  (a) validates pipeline legality STATICALLY before running anything:
@@ -17,8 +17,8 @@
  *  (b) runs the matching analysis:: checkers as machine-checked
  *      postconditions after each pass (graph verifier, lifetime
  *      analyzer, hazard detector, auditFusion, auditRecomputePass,
- *      memory-plan replay — see the checker registry), never trusting
- *      a transform's own bookkeeping;
+ *      memory-plan replay — see the checker table), never trusting a
+ *      transform's own bookkeeping;
  *
  *  (c) records a per-pass IR snapshot diff (node / reachable / value /
  *      byte deltas) through obs spans and counters, so a trace of a
@@ -26,11 +26,11 @@
  *
  * Pipelines are built from a comma-separated spec string
  * (`ECHO_PASSES="autodiff,fusion,recompute"`) via pass/builtin_passes.h.
+ * The passes and the checkers are two fixed tables.
  */
 #ifndef ECHO_PASS_PASS_MANAGER_H
 #define ECHO_PASS_PASS_MANAGER_H
 
-#include <functional>
 #include <memory>
 #include <optional>
 #include <set>
@@ -41,11 +41,9 @@
 #include "budget/planner.h"
 #include "echo/recompute_pass.h"
 #include "graph/fusion.h"
-#include "layout/layout_optimizer.h"
 #include "memory/liveness.h"
 #include "memory/planner.h"
 #include "pass/contracts.h"
-#include "rnn/rnn_config.h"
 
 namespace echo::pass {
 
@@ -80,16 +78,6 @@ struct PipelineContext
     PassResult recompute;
     std::optional<analysis::GraphSnapshot> recompute_snapshot;
 
-    /** Layout pass input (the stack's representative projection) and
-     *  decision. */
-    bool has_layout_spec = false;
-    rnn::LstmSpec layout_spec;
-    layout::LayoutDecision layout;
-    gpusim::GpuSpec gpu = gpusim::GpuSpec::titanXp();
-
-    /** GEMM keys the gemm_warm pass resolved (-1: pass never ran). */
-    int gemm_keys_warmed = -1;
-
     /** Memory plan of the current graph (plan pass; re-derived by
      *  recompute_budget after its rewrite).  The memory-plan checker
      *  re-plans and compares while kMemoryPlanned holds. */
@@ -109,22 +97,18 @@ struct PipelineContext
      *  consult it to decide applicability. */
     std::set<Invariant> holds;
 
-    /** Extra invariants the caller vouches for at pipeline entry (for
-     *  resuming a pipeline mid-way with externally produced state). */
-    std::vector<Invariant> assume;
-
     /** The fetch set analyses should use: fetches when set, else the
      *  loss closure (pre-autodiff), else empty. */
     std::vector<graph::Val> effectiveFetches() const;
 
     /** Invariants that hold before the first pass: kDifferentiable for
      *  a fresh forward graph, kGradients when weight_grads is already
-     *  populated, plus everything in `assume`. */
+     *  populated. */
     std::set<Invariant> initialInvariants() const;
 };
 
 /**
- * One registered transform.  The docs talk about requires() /
+ * One transform.  The docs talk about requires() /
  * establishes() / invalidates(); `requires` is a C++20 keyword, so the
  * first hook is spelled preconditions().
  */
@@ -160,8 +144,8 @@ class Pass
     /** Apply the transform. */
     virtual void run(PipelineContext &ctx) = 0;
 
-    /** Names of registered checkers to run as postconditions of this
-     *  pass (the manager runs them in order after run() returns). */
+    /** Names of checkers to run as postconditions of this pass (the
+     *  manager runs them in order after run() returns). */
     virtual std::vector<std::string> postconditionCheckers() const
     {
         return {"graph-verify"};
@@ -169,24 +153,17 @@ class Pass
 };
 
 // ---------------------------------------------------------------------
-// Checker registry
+// Checker table
 // ---------------------------------------------------------------------
 
 /** A postcondition checker: pure analysis, never mutates the context.
  *  Checkers self-gate on ctx.holds (e.g. fusion-audit is a no-op until
- *  kFusionJournal holds), so running every registered checker between
- *  passes — echo-lint --pipeline's replay mode — is always safe. */
-using Checker =
-    std::function<analysis::AnalysisReport(const PipelineContext &)>;
+ *  kFusionJournal holds), so running every checker between passes —
+ *  echo-lint --pipeline's replay mode — is always safe. */
+using Checker = analysis::AnalysisReport (*)(const PipelineContext &);
 
-/** Register a checker under @p name (panics on duplicates). */
-void registerChecker(const std::string &name, Checker fn);
-
-/** The registered checker, or nullptr. */
+/** The named checker, or nullptr. */
 const Checker *findChecker(const std::string &name);
-
-/** All registered checker names, sorted. */
-std::vector<std::string> registeredCheckerNames();
 
 // ---------------------------------------------------------------------
 // Pipeline-legality diagnostics
@@ -269,8 +246,8 @@ class PassManager
 
     struct RunOptions
     {
-        /** Run EVERY registered checker between passes (the replay-lint
-         *  mode) instead of each pass's declared postconditions. */
+        /** Run EVERY checker between passes (the replay-lint mode)
+         *  instead of each pass's declared postconditions. */
         bool all_checkers = false;
         /** Panic on the first postcondition error instead of returning
          *  the report (production call sites). */

@@ -202,9 +202,7 @@ WordLmSession::WordLmSession(models::WordLmConfig model_config,
                              SessionConfig config)
     : InferenceSession(std::move(config)), mcfg_(model_config),
       params_(std::move(params)),
-      stepper_(mcfg_, config_.slots, config_.mode,
-               pass::resolveSpec(pass::PipelineKind::kServeWordLm,
-                                 config_.pipeline_spec)),
+      stepper_(mcfg_, config_.slots),
       lane_state_(stepper_.initialState()),
       lane_req_(static_cast<size_t>(config_.slots)),
       lane_pos_(static_cast<size_t>(config_.slots), 0)
@@ -378,10 +376,7 @@ NmtSession::greedyDecoder(int64_t bucket_idx)
     if (!slot)
         slot = std::make_unique<NmtDecoder>(
             mcfg_, config_.slots,
-            config_.buckets[static_cast<size_t>(bucket_idx)],
-            config_.mode,
-            pass::resolveSpec(pass::PipelineKind::kServeNmt,
-                              config_.pipeline_spec));
+            config_.buckets[static_cast<size_t>(bucket_idx)]);
     return *slot;
 }
 
@@ -392,10 +387,7 @@ NmtSession::beamDecoder(int64_t bucket_idx)
     if (!slot)
         slot = std::make_unique<NmtDecoder>(
             mcfg_, config_.beam_width,
-            config_.buckets[static_cast<size_t>(bucket_idx)],
-            config_.mode,
-            pass::resolveSpec(pass::PipelineKind::kServeNmt,
-                              config_.pipeline_spec));
+            config_.buckets[static_cast<size_t>(bucket_idx)]);
     return *slot;
 }
 

@@ -56,12 +56,6 @@ struct SessionConfig
 
     /** GNMT length-normalization exponent for beam scoring. */
     float beam_alpha = 0.6f;
-
-    graph::ExecMode mode = graph::ExecMode::kAuto;
-
-    /** Pass-pipeline spec for the step/encoder graphs; "" resolves via
-     *  ECHO_PASSES / the inference default (see pass::resolveSpec). */
-    std::string pipeline_spec;
 };
 
 /** One request finishing (payload complete) during a stepLane call. */

@@ -186,6 +186,11 @@ TEST(ParseByteSize, UnitsAndMalformedInputs)
     EXPECT_FALSE(parseByteSize("tiny", &bytes));
     EXPECT_FALSE(parseByteSize("12XB", &bytes));
     EXPECT_FALSE(parseByteSize("-4K", &bytes));
+    // Non-finite, or past INT64_MAX bytes once scaled.
+    EXPECT_FALSE(parseByteSize("nan", &bytes));
+    EXPECT_FALSE(parseByteSize("inf", &bytes));
+    EXPECT_FALSE(parseByteSize("1e300", &bytes));
+    EXPECT_FALSE(parseByteSize("9e9GiB", &bytes));
 }
 
 TEST(ParseByteSize, SolverNamesRoundTrip)

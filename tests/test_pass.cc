@@ -99,14 +99,10 @@ TEST(PassSpec, DefaultsPerPipelineKind)
 {
     EXPECT_EQ(defaultSpec(PipelineKind::kTraining), "autodiff,fusion");
     EXPECT_EQ(defaultSpec(PipelineKind::kInference), "fusion");
-    // With ECHO_PASSES unset, resolution is the default, presets
-    // expanded.
+    // With ECHO_PASSES unset, resolution is the default.
     ScopedEnv passes("ECHO_PASSES", nullptr);
     EXPECT_EQ(resolveSpec(PipelineKind::kTraining, ""), "autodiff,fusion");
-    EXPECT_EQ(resolveSpec(PipelineKind::kServeWordLm, ""),
-              "fusion,gemm_warm");
-    EXPECT_EQ(resolveSpec(PipelineKind::kServeNmt, ""),
-              "fusion,audit_fusion,gemm_warm");
+    EXPECT_EQ(resolveSpec(PipelineKind::kInference, ""), "fusion");
 }
 
 TEST(PassSpec, ExplicitRequestWinsOverEnv)
@@ -125,15 +121,15 @@ TEST(PassSpec, EchoPassesEnvOverridesDefault)
 
 TEST(PassRegistry, BuiltinsRegisteredUnknownsNot)
 {
-    EXPECT_TRUE(isRegisteredPass("autodiff"));
-    EXPECT_TRUE(isRegisteredPass("fusion"));
-    EXPECT_TRUE(isRegisteredPass("recompute"));
-    EXPECT_TRUE(isRegisteredPass("layout"));
-    EXPECT_TRUE(isRegisteredPass("gemm_warm"));
-    EXPECT_TRUE(isRegisteredPass("audit_fusion"));
-    EXPECT_TRUE(isRegisteredPass("verify"));
+    EXPECT_EQ(registeredPassNames(),
+              (std::vector<std::string>{"autodiff", "fusion", "plan",
+                                        "recompute", "recompute_budget",
+                                        "verify"}));
+    for (const std::string &name : registeredPassNames())
+        EXPECT_TRUE(isRegisteredPass(name)) << name;
     EXPECT_FALSE(isRegisteredPass("bogus"));
     EXPECT_EQ(makePass("bogus"), nullptr);
+    EXPECT_EQ(makePass("layout"), nullptr);
 }
 
 TEST(PassRegistry, BuiltinCheckersResolvable)
@@ -159,6 +155,11 @@ freshGraphInvariants()
 
 TEST(PipelineLegality, RecomputeBeforeAutodiffRejectedStatically)
 {
+    // A fresh context (no gradients yet) starts from exactly these.
+    graph::Graph g;
+    EXPECT_EQ(PipelineContext(g).initialInvariants(),
+              freshGraphInvariants());
+
     const PassManager pm = buildPipeline("recompute,autodiff");
     const std::vector<ContractViolation> violations =
         pm.validate(freshGraphInvariants());
@@ -190,19 +191,21 @@ TEST(PipelineLegality, RecomputeBeforeAutodiffRejectedStatically)
 
 TEST(PipelineLegality, EstablishedThenClobberedNamesThePassPair)
 {
-    const PassManager pm =
-        buildPipeline("autodiff,fusion,recompute,audit_fusion");
+    // fusion rewrites the graph, so the plan pass's memory plan is
+    // stale by the time recompute_budget needs it.
+    const PassManager pm = buildPipeline(
+        "autodiff,plan,fusion,recompute_budget(fraction=0.5)");
     const std::vector<ContractViolation> violations =
         pm.validate(freshGraphInvariants());
     ASSERT_EQ(violations.size(), 1u);
-    EXPECT_EQ(violations[0].pass, "audit_fusion");
-    EXPECT_EQ(violations[0].invariant, Invariant::kFusionJournal);
-    EXPECT_EQ(violations[0].establisher, "fusion");
-    EXPECT_EQ(violations[0].invalidator, "recompute");
-    EXPECT_NE(violations[0].message.find("established by 'fusion'"),
+    EXPECT_EQ(violations[0].pass, "recompute_budget(fraction=0.5)");
+    EXPECT_EQ(violations[0].invariant, Invariant::kMemoryPlanned);
+    EXPECT_EQ(violations[0].establisher, "plan");
+    EXPECT_EQ(violations[0].invalidator, "fusion");
+    EXPECT_NE(violations[0].message.find("established by 'plan'"),
               std::string::npos)
         << violations[0].message;
-    EXPECT_NE(violations[0].message.find("invalidated by 'recompute'"),
+    EXPECT_NE(violations[0].message.find("invalidated by 'fusion'"),
               std::string::npos)
         << violations[0].message;
 }
@@ -212,65 +215,11 @@ TEST(PipelineLegality, DefaultAndPermutedPipelinesAreLegal)
     for (const char *spec :
          {"autodiff,fusion", "autodiff,recompute",
           "autodiff,fusion,recompute", "autodiff,recompute,fusion",
-          "autodiff,fusion,audit_fusion",
-          "autodiff,layout,fusion,gemm_warm,verify", "fusion",
-          "none"}) {
+          "autodiff,fusion,verify", "fusion", "none"}) {
         const PassManager pm = buildPipeline(spec);
         EXPECT_TRUE(pm.validate(freshGraphInvariants()).empty())
             << spec;
     }
-}
-
-TEST(PipelineLegality, ServePresetsExpandAndAreStaticallyLegal)
-{
-    // The serving presets are names for inference pipelines; parseSpec
-    // expands them, so env rewriting and echo-lint --pipeline see the
-    // underlying pass lists.
-    EXPECT_EQ(presetSpec("serve-wordlm"), "fusion,gemm_warm");
-    EXPECT_EQ(presetSpec("serve-nmt"), "fusion,audit_fusion,gemm_warm");
-    EXPECT_EQ(parseSpec("serve-wordlm"),
-              (std::vector<std::string>{"fusion", "gemm_warm"}));
-    EXPECT_EQ(defaultSpec(PipelineKind::kServeWordLm), "serve-wordlm");
-    EXPECT_EQ(defaultSpec(PipelineKind::kServeNmt), "serve-nmt");
-
-    // Both presets must be statically legal on a fresh forward graph:
-    // sessions build them unconditionally at construction time.
-    for (const char *preset : {"serve-wordlm", "serve-nmt"}) {
-        const PassManager pm = buildPipeline(preset);
-        EXPECT_TRUE(pm.validate(freshGraphInvariants()).empty())
-            << preset;
-    }
-}
-
-TEST(PipelineLegality, GemmWarmBeforeAutodiffIsStale)
-{
-    // autodiff appends backward GEMMs, so a warm-up that ran before it
-    // no longer covers the graph: kGemmKeysWarm is invalidated.
-    const PassManager pm = buildPipeline("autodiff,gemm_warm");
-    EXPECT_TRUE(pm.validate(freshGraphInvariants()).empty());
-
-    std::set<Invariant> warmed = freshGraphInvariants();
-    warmed.insert(Invariant::kGemmKeysWarm);
-    // Nothing requires kGemmKeysWarm, so this is legal — but the walk
-    // must drop the invariant; audit via a pipeline that assumes it.
-    const PassManager pm2 = buildPipeline("autodiff");
-    EXPECT_TRUE(pm2.validate(warmed).empty());
-}
-
-TEST(PipelineLegality, AssumeLetsCallersResumeMidPipeline)
-{
-    graph::Graph g;
-    PipelineContext ctx(g);
-    // Fresh graph, no grads yet.
-    EXPECT_EQ(ctx.initialInvariants(),
-              std::set<Invariant>{Invariant::kDifferentiable});
-    ctx.assume.push_back(Invariant::kFusionJournal);
-    std::set<Invariant> initial = ctx.initialInvariants();
-    EXPECT_EQ(initial.count(Invariant::kFusionJournal), 1u);
-    // A journal-only pipeline becomes legal under the assumption.
-    const PassManager pm = buildPipeline("audit_fusion");
-    EXPECT_FALSE(pm.validate({Invariant::kDifferentiable}).empty());
-    EXPECT_TRUE(pm.validate(initial).empty());
 }
 
 TEST(PipelineLegality, SpecRoundTripsThroughManager)
@@ -304,6 +253,7 @@ TEST(BudgetPassRegistry, ConfigureRejectsMalformedArguments)
         {"recompute_budget(bytes=64KiB:fraction=0.5)",
          "exactly one of bytes= and fraction="},
         {"recompute_budget(fraction=1.5)", "fraction must be in"},
+        {"recompute_budget(fraction=0.5junk)", "fraction must be in"},
         {"recompute_budget(bytes=1MiB:solver=simplex)",
          "unknown solver"},
         {"recompute_budget(bytes=zero)", "bad byte size"},
@@ -522,7 +472,6 @@ TEST(PipelinePermutations, ByteIdenticalFetchesAcrossThreads)
         "autodiff,recompute",
         "autodiff,fusion,recompute",
         "autodiff,recompute,fusion",
-        "autodiff,layout,fusion,gemm_warm",
     };
     for (const char *spec : specs) {
         models::WordLmModel model(cfg, spec);

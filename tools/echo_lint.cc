@@ -35,6 +35,7 @@
  *        echo-lint --serve-journal=PATH [--serve-slots=N]
  *        echo-lint --pipeline=SPEC [--model=...] [--inject=bad-shape]
  */
+#include <charconv>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -384,7 +385,15 @@ parseArgs(int argc, char **argv, LintOptions &opts)
         } else if (arg.rfind("--serve-journal=", 0) == 0) {
             opts.serve_journal = arg.substr(16);
         } else if (arg.rfind("--serve-slots=", 0) == 0) {
-            opts.serve_slots = std::stoi(arg.substr(14));
+            const std::string text = arg.substr(14);
+            const char *end = text.data() + text.size();
+            const auto [ptr, ec] =
+                std::from_chars(text.data(), end, opts.serve_slots);
+            if (ec != std::errc() || ptr != end || opts.serve_slots < 1) {
+                std::cerr << "echo-lint: bad --serve-slots value '" << text
+                          << "' (need an integer >= 1)\n";
+                return false;
+            }
         } else if (arg.rfind("--pipeline=", 0) == 0) {
             opts.pipeline = arg.substr(11);
         } else if (arg.rfind("--inject=", 0) == 0) {

@@ -113,13 +113,8 @@ parseArgs(int argc, char **argv, PlanOptions &opts)
         } else if (arg == "--verbose") {
             opts.verbose = true;
         } else if (arg.rfind("--budget-fraction=", 0) == 0) {
-            try {
-                opts.budget_fraction = std::stod(arg.substr(18));
-            } catch (...) {
-                opts.budget_fraction = 0.0;
-            }
-            if (!(opts.budget_fraction > 0.0 &&
-                  opts.budget_fraction <= 1.0)) {
+            if (!budget::parseFraction(arg.substr(18),
+                                       &opts.budget_fraction)) {
                 std::cerr << "echo-plan: --budget-fraction must be in "
                              "(0, 1]\n";
                 return false;

@@ -39,6 +39,19 @@ buildCandidate(const FeatureMap &target, bool respect_gemm_boundary)
         cand.admissible = false;
         return cand;
     }
+    // A per-step value read by a cross-step backward node (autodiff's
+    // stack of a shared weight's A_t operands) would be replayed for
+    // every step before that one node: T steps' replay buffers live at
+    // once instead of one shared workspace (paper §4.1.2).  It stays
+    // stashed.
+    if (root->time_step >= 0) {
+        for (const Node *c : target.bwd_consumers) {
+            if (c->time_step < 0) {
+                cand.admissible = false;
+                return cand;
+            }
+        }
+    }
 
     // Grow the cheap region backwards from the root.  A forward op node
     // joins the region when it is cheap; anything else (weights,

@@ -10,6 +10,10 @@
  * keeps the recomputation overhead at the sub-percent level the paper
  * measures (§6.2), unlike generic sublinear checkpointing.
  *
+ * A per-step target (time step >= 0) with a cross-step backward
+ * consumer (time step -1) is not admissible either: replaying it ahead
+ * of that consumer would keep every step's replay live at once.
+ *
  * For the paper's attention scoring function the candidate is exactly
  * the O-shape interior (broadcast + layer norm + tanh), and the frontier
  * is the projected query / encoder state — the small inputs §4.1 stashes.

@@ -16,6 +16,7 @@
 #define ECHO_GRAPH_OP_H
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -90,6 +91,22 @@ struct KernelDesc
     double time_scale = 1.0;
 };
 
+/** The range a `slice` op reads from its input: [begin, end) along
+ *  axis (negative axes count from the back, as in oplib::sliceOp). */
+struct SliceRange
+{
+    int axis = 0;
+    int64_t begin = 0;
+    int64_t end = 0;
+};
+
+/** Operand transposes of a 2-D `gemm` op: C = op(A) * op(B). */
+struct GemmTransposes
+{
+    bool a = false;
+    bool b = false;
+};
+
 /** Inputs handed to Op::buildGradient. */
 struct GradContext
 {
@@ -151,6 +168,20 @@ class Op
     virtual std::vector<EwInstr> elementwiseLowering() const
     {
         return {};
+    }
+
+    /** The slice range, when this op is a `slice`.  Autodiff reads it
+     *  to assemble a value's gradient from the slices that cover it. */
+    virtual std::optional<SliceRange> sliceRange() const
+    {
+        return std::nullopt;
+    }
+
+    /** The operand transposes, when this op is a 2-D `gemm`.  Autodiff
+     *  reads it to stack a shared weight's gradient into one GEMM. */
+    virtual std::optional<GemmTransposes> gemmTransposes() const
+    {
+        return std::nullopt;
     }
 
     /**

@@ -28,6 +28,11 @@ class GemmOp : public Op
 
     bool cheapToRecompute() const override { return false; }
 
+    std::optional<GemmTransposes> gemmTransposes() const override
+    {
+        return GemmTransposes{trans_a_, trans_b_};
+    }
+
     std::vector<Shape>
     inferShapes(const std::vector<Shape> &in) const override
     {

@@ -226,6 +226,11 @@ class SliceOp : public Op
 
     std::string name() const override { return "slice"; }
 
+    std::optional<SliceRange> sliceRange() const override
+    {
+        return SliceRange{axis_, begin_, end_};
+    }
+
     std::vector<Shape>
     inferShapes(const std::vector<Shape> &in) const override
     {

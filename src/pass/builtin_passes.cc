@@ -38,12 +38,16 @@ class AutodiffPass : public Pass
         return {Invariant::kDifferentiable, Invariant::kMemoryPlanned,
                 Invariant::kPlanFeasible};
     }
+    std::string missingInput(const PipelineContext &ctx) const override
+    {
+        if (ctx.loss.defined())
+            return {};
+        return "autodiff needs a loss to differentiate and this "
+               "pipeline has none (an inference graph?)";
+    }
     void
     run(PipelineContext &ctx) override
     {
-        ECHO_CHECK(ctx.loss.defined(),
-                   "autodiff pass needs ctx.loss (the scalar to "
-                   "differentiate)");
         const graph::GradientResult grads =
             graph::backward(*ctx.graph, ctx.loss, ctx.wrt);
         ctx.weight_grads = grads.weight_grads;

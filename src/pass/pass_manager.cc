@@ -256,6 +256,11 @@ PipelineReport::toString() const
     std::ostringstream oss;
     for (size_t i = 0; i < stages.size(); ++i) {
         const StageReport &s = stages[i];
+        if (!s.missing_input.empty()) {
+            oss << "  [" << i << "] " << s.pass
+                << ": not run: " << s.missing_input << "\n";
+            continue;
+        }
         oss << "  [" << i << "] " << s.pass << ": nodes " << s.nodes_before
             << "->" << s.nodes_after << ", reachable " << s.reachable_before
             << "->" << s.reachable_after << ", values " << s.values_before
@@ -277,7 +282,9 @@ PipelineReport::toString() const
                 oss << "      " << line << "\n";
         }
     }
-    if (aborted)
+    if (aborted && !stages.empty() && !stages.back().missing_input.empty())
+        oss << "  pipeline aborted: a pass could not run\n";
+    else if (aborted)
         oss << "  pipeline aborted on postcondition failure\n";
     return oss.str();
 }
@@ -468,6 +475,13 @@ PassManager::run(PipelineContext &ctx, const RunOptions &opts) const
         StageReport stage;
         stage.pass = pass.name();
 
+        stage.missing_input = pass.missingInput(ctx);
+        if (!stage.missing_input.empty()) {
+            report.stages.push_back(std::move(stage));
+            report.aborted = true;
+            break;
+        }
+
         const IrStats before = irStats(ctx);
         {
             obs::Span span;
@@ -554,9 +568,12 @@ PassManager::runOrDie(PipelineContext &ctx, const char *what) const
     RunOptions opts;
     opts.die_on_error = true;
     opts.what = what;
+    // Postcondition failures already panicked inside run(); what is
+    // left is a stage that could not run — a configuration error.
     const PipelineReport report = run(ctx, opts);
-    ECHO_CHECK(report.ok(), what, ": pipeline '", spec(),
-               "' reported failure without dying:\n", report.toString());
+    if (!report.ok())
+        ECHO_FATAL(what, ": pipeline '", spec(), "' failed:\n",
+                   report.toString());
 }
 
 } // namespace echo::pass

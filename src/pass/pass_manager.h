@@ -141,6 +141,15 @@ class Pass
         return false;
     }
 
+    /** Why this pass cannot run on @p ctx, or empty when it can.
+     *  Asked before run(): a reason fails the stage without running it
+     *  (the caller built a pipeline its inputs cannot feed, e.g.\
+     *  autodiff with no loss), and runOrDie exits 1 naming it. */
+    virtual std::string missingInput(const PipelineContext &) const
+    {
+        return {};
+    }
+
     /** Apply the transform. */
     virtual void run(PipelineContext &ctx) = 0;
 
@@ -203,13 +212,16 @@ struct StageReport
     std::vector<std::string> checkers_run;
     /** Their merged findings. */
     analysis::AnalysisReport post;
+    /** Pass::missingInput's reason when the stage could not run. */
+    std::string missing_input;
 };
 
 /** Everything one PassManager::run produced. */
 struct PipelineReport
 {
     std::vector<StageReport> stages;
-    /** True when a stage's postconditions failed and the run stopped. */
+    /** True when a stage could not run or its postconditions failed,
+     *  and the run stopped there. */
     bool aborted = false;
 
     bool ok() const;
@@ -271,7 +283,8 @@ class PassManager
         return run(ctx, RunOptions{});
     }
 
-    /** run() with die_on_error, naming @p what in any panic. */
+    /** run() with die_on_error, naming @p what in any panic; a stage
+     *  that cannot run exits 1 with the report. */
     void runOrDie(PipelineContext &ctx, const char *what) const;
 
   private:

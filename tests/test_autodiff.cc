@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <functional>
 #include <ostream>
 #include <string>
@@ -16,6 +17,7 @@
 #include "graph/executor.h"
 #include "graph/ops/op_fused_rnn.h"
 #include "graph/ops/oplib.h"
+#include "tensor/ops.h"
 
 namespace echo::graph {
 namespace {
@@ -373,6 +375,221 @@ TEST(Autodiff, GradAccumulationAcrossConsumers)
     FeedDict feed;
     feed[x.node] = Tensor::uniform(Shape({1, 3}), rng, -0.5f, 0.5f);
     checkGradients(g, loss, {x}, feed);
+}
+
+/** A weight shared by @p steps per-step gemm(x_t, W^T) projections. */
+struct SharedWeightGraph
+{
+    Graph g;
+    Val w, loss;
+    std::vector<Val> xs, ys;
+
+    explicit SharedWeightGraph(int64_t steps)
+    {
+        w = g.weight(Shape({4, 3}), "w");
+        Val acc;
+        for (int64_t t = 0; t < steps; ++t) {
+            g.setTimeStep(static_cast<int>(t));
+            xs.push_back(g.placeholder(Shape({2, 3}), "x"));
+            ys.push_back(g.apply1(ol::gemm(false, true), {xs.back(), w}));
+            const Val s = g.apply1(ol::tanhOp(), {ys.back()});
+            acc = acc.defined() ? g.apply1(ol::add(), {acc, s}) : s;
+        }
+        g.setTimeStep(-1);
+        loss = scalarize(g, acc);
+    }
+
+    FeedDict
+    feed() const
+    {
+        Rng rng(22);
+        FeedDict f;
+        f[w.node] = Tensor::uniform(Shape({4, 3}), rng, -0.5f, 0.5f);
+        for (const Val &x : xs)
+            f[x.node] = Tensor::uniform(Shape({2, 3}), rng, -1.0f, 1.0f);
+        return f;
+    }
+};
+
+TEST(Autodiff, SharedWeightGradientIsOneGemm)
+{
+    const int64_t steps = 5;
+    SharedWeightGraph m(steps);
+    const GradientResult gr = backward(m.g, m.loss, {m.w});
+    const Val dw = gr.weight_grads[0];
+
+    // dW = concat(dC_t)^T * concat(x_t): one GEMM straight off the two
+    // forward-ordered stacks, no add anywhere on its chain.
+    ASSERT_EQ(dw.node->op->name(), "gemm");
+    const std::optional<GemmTransposes> t = dw.node->op->gemmTransposes();
+    ASSERT_TRUE(t.has_value());
+    EXPECT_TRUE(t->a);
+    EXPECT_FALSE(t->b);
+    EXPECT_EQ(dw.node->time_step, -1);
+    const Node *dc_stack = dw.node->inputs[0].node;
+    const Node *a_stack = dw.node->inputs[1].node;
+    ASSERT_EQ(dc_stack->op->name(), "concat");
+    ASSERT_EQ(a_stack->op->name(), "concat");
+    ASSERT_EQ(dc_stack->inputs.size(), static_cast<size_t>(steps));
+    ASSERT_EQ(a_stack->inputs.size(), static_cast<size_t>(steps));
+    for (int64_t i = 0; i < steps; ++i) {
+        EXPECT_EQ(dc_stack->inputs[i], gr.all_grads.at(m.ys[i]));
+        EXPECT_EQ(a_stack->inputs[i], m.xs[i]);
+    }
+    int weight_gemms = 0;
+    for (const auto &n : m.g.nodes()) {
+        if (n->phase != Phase::kBackward)
+            continue;
+        EXPECT_NE(n->op->name(), "add") << "node #" << n->id;
+        const auto nt = n->op->gemmTransposes();
+        if (nt && nt->a)
+            ++weight_gemms;
+    }
+    EXPECT_EQ(weight_gemms, 1);
+
+    // Bit-equal to the reference GEMM over the concatenated operands.
+    std::vector<Val> fetches = {dw};
+    for (const Val &y : m.ys)
+        fetches.push_back(gr.all_grads.at(y));
+    Executor ex(fetches);
+    const FeedDict feed = m.feed();
+    const std::vector<Tensor> out = ex.run(feed);
+    std::vector<Tensor> dcs(out.begin() + 1, out.end());
+    std::vector<Tensor> as;
+    for (const Val &x : m.xs)
+        as.push_back(feed.at(x.node));
+    const Tensor ref = ops::gemmReference(ops::concat(dcs, 0), true,
+                                          ops::concat(as, 0), false);
+    ASSERT_EQ(ref.shape(), out[0].shape());
+    EXPECT_EQ(std::memcmp(ref.data(), out[0].data(),
+                          static_cast<size_t>(ref.numel()) * 4),
+              0);
+
+    SharedWeightGraph fd(steps);
+    checkGradients(fd.g, fd.loss, {fd.w}, fd.feed());
+}
+
+TEST(Autodiff, CoveringSlicesAssembleByConcat)
+{
+    // Four gates: four slices covering axis 1, built out of order.
+    auto build_gates = [](Graph &g, Val &x) {
+        x = g.placeholder(Shape({2, 8}), "gates");
+        auto gate = [&](OpPtr act, int axis, int64_t begin) {
+            return g.apply1(std::move(act),
+                            {g.apply1(ol::sliceOp(axis, begin, begin + 2),
+                                      {x})});
+        };
+        const Val i = gate(ol::sigmoidOp(), 1, 0);
+        const Val o = gate(ol::sigmoidOp(), -1, 6);
+        const Val gg = gate(ol::tanhOp(), 1, 4);
+        const Val f = gate(ol::sigmoidOp(), 1, 2);
+        return scalarize(g, g.apply1(ol::add(),
+                                     {g.apply1(ol::mul(), {i, gg}),
+                                      g.apply1(ol::mul(), {f, o})}));
+    };
+    {
+        Graph g;
+        Val x;
+        const Val loss = build_gates(g, x);
+        const Val dx = backward(g, loss, {x}).weight_grads[0];
+        ASSERT_EQ(dx.node->op->name(), "concat");
+        EXPECT_EQ(dx.node->inputs.size(), 4u);
+        for (const auto &n : g.nodes())
+            EXPECT_NE(n->op ? n->op->name() : "", "slice_grad");
+
+        Graph fd_g;
+        Val fx;
+        const Val fd_loss = build_gates(fd_g, fx);
+        Rng rng(23);
+        FeedDict feed;
+        feed[fx.node] = Tensor::uniform(Shape({2, 8}), rng, -1.0f, 1.0f);
+        checkGradients(fd_g, fd_loss, {fx}, feed);
+    }
+
+    // A covering slice whose output gets no gradient (it only feeds
+    // embedding ids) contributes a zero block.
+    auto build_ids = [](Graph &g, Val &x, Val &table) {
+        x = g.placeholder(Shape({2, 3}), "x");
+        table = g.weight(Shape({3, 2}), "table");
+        const Val data = g.apply1(ol::sliceOp(1, 0, 2), {x});
+        const Val ids = g.apply1(ol::reshape(Shape({2})),
+                                 {g.apply1(ol::sliceOp(1, 2, 3), {x})});
+        const Val emb = g.apply1(ol::embedding(), {table, ids});
+        return g.apply1(ol::add(), {scalarize(g, data), scalarize(g, emb)});
+    };
+    {
+        Graph g;
+        Val x, table;
+        const Val loss = build_ids(g, x, table);
+        const Val dx = backward(g, loss, {x}).weight_grads[0];
+        ASSERT_EQ(dx.node->op->name(), "concat");
+        ASSERT_EQ(dx.node->inputs.size(), 2u);
+        EXPECT_EQ(dx.node->inputs[1].node->op->name(), "constant");
+
+        Graph fd_g;
+        Val fx, ftable;
+        const Val fd_loss = build_ids(fd_g, fx, ftable);
+        Rng rng(24);
+        FeedDict feed;
+        // Ids sit mid-way between integers so the +-eps probes of the
+        // finite difference never change the looked-up row.
+        Tensor xv = Tensor::uniform(Shape({2, 3}), rng, -1.0f, 1.0f);
+        xv.at(2) = 1.5f;
+        xv.at(5) = 0.5f;
+        feed[fx.node] = xv;
+        feed[ftable.node] = Tensor::uniform(Shape({3, 2}), rng, -1.0f, 1.0f);
+        checkGradients(fd_g, fd_loss, {fx, ftable}, feed);
+    }
+
+    // Fallbacks keep the eager add: a gap, an overlap, and a non-slice
+    // consumer beside covering slices.
+    struct Fallback
+    {
+        const char *name;
+        std::function<Val(Graph &, const Val &)> build;
+    };
+    const std::vector<Fallback> fallbacks = {
+        {"gap",
+         [](Graph &g, const Val &x) {
+             return g.apply1(
+                 ol::add(),
+                 {g.apply1(ol::tanhOp(), {g.apply1(ol::sliceOp(1, 0, 1), {x})}),
+                  g.apply1(ol::sliceOp(1, 2, 3), {x})});
+         }},
+        {"overlap",
+         [](Graph &g, const Val &x) {
+             return g.apply1(
+                 ol::mul(),
+                 {g.apply1(ol::tanhOp(), {g.apply1(ol::sliceOp(1, 0, 2), {x})}),
+                  g.apply1(ol::sliceOp(1, 1, 3), {x})});
+         }},
+        {"non-slice consumer",
+         [](Graph &g, const Val &x) {
+             const Val lo = g.apply1(ol::sliceOp(1, 0, 1), {x});
+             const Val hi = g.apply1(ol::sliceOp(1, 1, 3), {x});
+             return g.apply1(
+                 ol::add(),
+                 {g.apply1(ol::concat(1),
+                           {g.apply1(ol::tanhOp(), {lo}), hi}),
+                  g.apply1(ol::tanhOp(), {x})});
+         }},
+    };
+    for (const Fallback &fb : fallbacks) {
+        SCOPED_TRACE(fb.name);
+        Graph g;
+        const Val x = g.placeholder(Shape({2, 3}), "x");
+        const Val loss = scalarize(g, fb.build(g, x));
+        EXPECT_EQ(backward(g, loss, {x}).weight_grads[0].node->op->name(),
+                  "add");
+
+        Graph fd_g;
+        const Val fx = fd_g.placeholder(Shape({2, 3}), "x");
+        Rng rng(25);
+        FeedDict feed;
+        feed[fx.node] = Tensor::uniform(Shape({2, 3}), rng, -1.0f, 1.0f);
+        checkGradients(fd_g, scalarize(fd_g, fb.build(fd_g, fx)), {fx},
+                       feed);
+    }
 }
 
 TEST(Autodiff, UnusedWeightGetsZeroGrad)

@@ -16,6 +16,8 @@
 #include "graph/executor.h"
 #include "graph/ops/oplib.h"
 #include "memory/profiler.h"
+#include "models/word_lm.h"
+#include "pass/builtin_passes.h"
 
 namespace echo::pass {
 namespace {
@@ -209,6 +211,74 @@ TEST(Candidate, InadmissibleWhenRootIsGemm)
     fm.val = y;
     fm.bytes = 32;
     EXPECT_FALSE(buildCandidate(fm).admissible);
+}
+
+TEST(Candidate, PerStepValueReadByCrossStepStackInadmissible)
+{
+    // x_t = reshape(slice(X)) per step feeds gemm(x_t, W^T); autodiff
+    // stacks every x_t into one cross-step concat for dW.  Replaying
+    // x_t ahead of that concat would keep all steps' replays live.
+    const int64_t steps = 4, b = 2, in = 3, h = 4;
+    Graph g;
+    const Val x = g.placeholder(Shape({steps, b, in}), "x");
+    const Val labels = g.placeholder(Shape({b}), "labels");
+    const Val w = g.weight(Shape({h, in}), "w");
+    std::vector<Val> x_steps, tanh_steps;
+    Val acc;
+    for (int64_t t = 0; t < steps; ++t) {
+        g.setTimeStep(static_cast<int>(t));
+        x_steps.push_back(g.apply1(
+            ol::reshape(Shape({b, in})),
+            {g.apply1(ol::sliceOp(0, t, t + 1), {x})}));
+        tanh_steps.push_back(g.apply1(
+            ol::tanhOp(),
+            {g.apply1(ol::gemm(false, true), {x_steps.back(), w})}));
+        acc = acc.defined()
+                  ? g.apply1(ol::add(), {acc, tanh_steps.back()})
+                  : tanh_steps.back();
+    }
+    g.setTimeStep(-1);
+    const Val loss = g.apply1(ol::crossEntropyLoss(), {acc, labels});
+    const graph::GradientResult gr = graph::backward(g, loss, {w});
+
+    int checked = 0;
+    for (const FeatureMap &fm : findFeatureMaps({loss, gr.weight_grads[0]})) {
+        for (int64_t t = 0; t < steps; ++t) {
+            if (fm.val == x_steps[t]) {
+                ASSERT_EQ(fm.bwd_consumers.size(), 1u);
+                EXPECT_EQ(fm.bwd_consumers[0]->time_step, -1);
+                EXPECT_FALSE(buildCandidate(fm).admissible) << "x_" << t;
+                ++checked;
+            } else if (fm.val == tanh_steps[t]) {
+                // Read only by its own step's backward: still a region.
+                EXPECT_TRUE(buildCandidate(fm).admissible) << "tanh_" << t;
+                ++checked;
+            }
+        }
+    }
+    EXPECT_EQ(checked, 2 * steps);
+}
+
+TEST(RecomputePass, StackedWeightGradientsKeepWordLmAuditClean)
+{
+    // The Default LSTM's shared weights get stacked gradients; the
+    // recompute audit (workspace sharing included) must stay clean.
+    models::WordLmConfig cfg;
+    cfg.vocab = 50;
+    cfg.hidden = 8;
+    cfg.layers = 2;
+    cfg.batch = 4;
+    cfg.seq_len = 8;
+    models::WordLmModel model(cfg, "none");
+    PipelineContext ctx(model.graph());
+    ctx.loss = model.loss();
+    for (const auto &[name, val] : model.weights())
+        ctx.wrt.push_back(val);
+    ctx.recompute_config.overhead_budget_fraction = -1.0;
+    const PipelineReport report =
+        buildPipeline("autodiff,recompute").run(ctx);
+    EXPECT_TRUE(report.ok()) << report.toString();
+    EXPECT_GT(ctx.recompute.num_regions, 0);
 }
 
 TEST(RecomputePass, OffPolicyDoesNothing)

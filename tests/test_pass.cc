@@ -363,6 +363,37 @@ TEST(PostconditionsDeathTest, RunOrDiePanicsOnBuggyPass)
     EXPECT_DEATH(pm.runOrDie(ctx, "test pipeline"), "postcondition");
 }
 
+TEST(PostconditionsDeathTest, AutodiffWithoutLossFailsTheStage)
+{
+    // An inference graph (fetches preset, no loss) run through a spec
+    // that differentiates: the autodiff stage reports that it cannot
+    // run, and runOrDie exits 1 naming the pass, spec and caller.
+    auto make_ctx = [](models::WordLmModel &model) {
+        PipelineContext ctx(model.graph());
+        ctx.fetches = {model.loss()};
+        return ctx;
+    };
+    models::WordLmModel model(tinyLmConfig(), "none");
+    PipelineContext ctx = make_ctx(model);
+    const PipelineReport report = buildPipeline("autodiff,fusion").run(ctx);
+    EXPECT_TRUE(report.aborted);
+    EXPECT_FALSE(report.ok());
+    ASSERT_EQ(report.stages.size(), 1u);
+    EXPECT_EQ(report.stages[0].pass, "autodiff");
+    EXPECT_NE(report.stages[0].missing_input.find("loss"),
+              std::string::npos);
+
+    EXPECT_EXIT(
+        {
+            models::WordLmModel m(tinyLmConfig(), "none");
+            PipelineContext c = make_ctx(m);
+            buildPipeline("autodiff,fusion").runOrDie(c, "test decoder");
+        },
+        ::testing::ExitedWithCode(1),
+        "test decoder: pipeline 'autodiff,fusion' failed(.|\n)*"
+        "autodiff: not run");
+}
+
 TEST(PostconditionsDeathTest, RunPanicsOnStaticallyIllegalPipeline)
 {
     models::WordLmModel model(tinyLmConfig(), "none");

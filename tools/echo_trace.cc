@@ -23,7 +23,7 @@
  *                   [--iters N] [--out trace.json] [--csv footprint.csv]
  *        (both "--flag value" and "--flag=value" forms are accepted)
  */
-#include <cstdlib>
+#include <charconv>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -88,9 +88,12 @@ parseArgs(int argc, char **argv, TraceOptions &opts)
             continue;
         }
         if (take(i, arg, "--iters", value)) {
-            opts.iters = std::strtoll(value.c_str(), nullptr, 10);
-            if (opts.iters < 1) {
-                std::cerr << "echo-trace: --iters must be >= 1\n";
+            const char *end = value.data() + value.size();
+            const auto [ptr, ec] =
+                std::from_chars(value.data(), end, opts.iters);
+            if (ec != std::errc() || ptr != end || opts.iters < 1) {
+                std::cerr << "echo-trace: bad --iters value '" << value
+                          << "' (need an integer >= 1)\n";
                 return false;
             }
             continue;

@@ -27,8 +27,8 @@
  *                  [--layout] [--dump] [--check]
  *        (both "--flag value" and "--flag=value" forms are accepted)
  */
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -209,10 +209,12 @@ main(int argc, char **argv)
                    flag == "--candidates" || flag == "--reps") {
             if (!want_value())
                 return 2;
-            const int64_t v = std::atoll(value.c_str());
-            if (v < 1) {
-                std::cerr << "echo-tune: " << flag
-                          << " must be positive\n";
+            int64_t v = 0;
+            const char *end = value.data() + value.size();
+            const auto [ptr, ec] = std::from_chars(value.data(), end, v);
+            if (ec != std::errc() || ptr != end || v < 1) {
+                std::cerr << "echo-tune: bad " << flag << " value '"
+                          << value << "' (need an integer >= 1)\n";
                 return 2;
             }
             if (flag == "--batch")

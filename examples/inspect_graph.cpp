@@ -71,17 +71,21 @@ main()
     }
 
     std::printf("\n=== candidate evaluation ===\n");
+    std::vector<pass::Candidate> cands;
+    for (const auto &fm : fms)
+        cands.push_back(pass::buildCandidate(fm));
+    const pass::CostIndex index(fms, cands, gpusim::GpuSpec::titanXp());
     pass::SelectionState state;
-    for (const auto &fm : fms) {
-        const pass::Candidate cand = pass::buildCandidate(fm);
+    for (const pass::Candidate &cand : cands) {
+        const pass::FeatureMap &fm = cand.target;
         if (!cand.admissible) {
             std::printf("  #%d (%s): inadmissible (GEMM-rooted)\n",
                         fm.val.node->id,
                         fm.val.node->op->name().c_str());
             continue;
         }
-        const pass::CandidateCost cost = pass::evaluateCandidate(
-            cand, fms, state, gpusim::GpuSpec::titanXp());
+        const pass::CandidateCost cost =
+            pass::evaluateCandidate(cand, index, state);
         std::printf("  #%d (%s): region=%zu ops, frontier=%zu vals, "
                     "saves %lld B, adds %lld B, replay %.2f us\n",
                     fm.val.node->id,

@@ -144,9 +144,8 @@ auditGroup(const fusion::FusedGroup &group,
     std::unordered_map<Val, Tensor, ValHash> env;
     std::vector<Tensor> fused_in;
     for (const Val &v : group.frontier) {
-        Tensor t(graph::Graph::shapeOf(v));
-        for (int64_t i = 0; i < t.numel(); ++i)
-            t.data()[i] = static_cast<float>(rng.uniform(-2.0, 2.0));
+        const Tensor t =
+            Tensor::uniform(graph::Graph::shapeOf(v), rng, -2.0f, 2.0f);
         env.emplace(v, t);
         fused_in.push_back(t);
     }

@@ -12,16 +12,17 @@ enumerateItems(const std::vector<Val> &fetches,
 {
     ItemSet set;
     set.config = config;
-    set.feature_maps = pass::findFeatureMaps(fetches);
+    std::vector<pass::FeatureMap> fms = pass::findFeatureMaps(fetches);
 
     std::vector<pass::Candidate> candidates =
-        pass::enumerateCandidates(set.feature_maps, fetches, config);
+        pass::enumerateCandidates(fms, fetches, config);
+    set.index = pass::CostIndex(std::move(fms), candidates, config.gpu);
     set.items.reserve(candidates.size());
     for (pass::Candidate &cand : candidates) {
         Item item;
         item.step = cand.target.val.node->time_step;
-        const pass::SetCost solo = pass::evaluateAcceptedSet(
-            {&cand}, set.feature_maps, config.gpu, config.fuse_replay);
+        const pass::SetCost solo =
+            pass::evaluateAcceptedSet({&cand}, set.index, config.fuse_replay);
         item.solo_saved = solo.bytes_saved;
         item.solo_added = solo.bytes_added;
         item.solo_replay_us = solo.replay_time_us;
@@ -52,8 +53,7 @@ costOf(const ItemSet &set, const std::vector<int> &chosen)
                    "costOf: item index ", i, " out of range");
         accepted.push_back(&set.items[static_cast<size_t>(i)].cand);
     }
-    return pass::evaluateAcceptedSet(accepted, set.feature_maps,
-                                     set.config.gpu,
+    return pass::evaluateAcceptedSet(accepted, set.index,
                                      set.config.fuse_replay);
 }
 

@@ -43,7 +43,9 @@ struct Item
 struct ItemSet
 {
     std::vector<Item> items;
-    std::vector<pass::FeatureMap> feature_maps;
+    /** Pricing data over every item's candidate (and the graph's
+     *  feature maps), built once by enumerateItems. */
+    pass::CostIndex index;
     /** Pricing/rewrite configuration the items were built under. */
     pass::PassConfig config;
 };

@@ -103,7 +103,7 @@ trialApply(graph::Graph &g, const std::vector<Val> &fetches,
 
     TrialRewrite trial(g);
     pass::PassResult r;
-    pass::applyRecomputation(g, accepted, items.feature_maps,
+    pass::applyRecomputation(g, accepted, items.index,
                              config.recompute, r);
     const int64_t measured = measurePoolPeak(fetches, weight_grads);
     *peak = measured;
@@ -193,7 +193,7 @@ planWithBudget(graph::Graph &g, const std::vector<Val> &fetches,
                     accepted.push_back(
                         &items.items[static_cast<size_t>(i)].cand);
                 pass::PassResult r;
-                pass::applyRecomputation(g, accepted, items.feature_maps,
+                pass::applyRecomputation(g, accepted, items.index,
                                          config.recompute, r);
             }
             const memory::LivenessResult live =

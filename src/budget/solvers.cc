@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <map>
-#include <memory>
 #include <set>
 #include <sstream>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "core/logging.h"
-#include "gpusim/kernel_cost.h"
 
 namespace echo::budget {
 
@@ -56,15 +54,7 @@ using pass::SetCost;
 class JointCost
 {
   public:
-    using FmBytes = std::unordered_map<Val, int64_t, graph::ValHash>;
-
-    explicit JointCost(const ItemSet &set)
-        : set_(&set), fm_bytes_(std::make_shared<FmBytes>())
-    {
-        auto &fm_bytes = *std::const_pointer_cast<FmBytes>(fm_bytes_);
-        for (const pass::FeatureMap &fm : set.feature_maps)
-            fm_bytes[fm.val] = fm.bytes;
-    }
+    explicit JointCost(const ItemSet &set) : index_(&set.index) {}
 
     /** What item sets which bits (precomputed once per ItemSet). */
     struct ItemEffect
@@ -95,14 +85,9 @@ class JointCost
                 for (int o = 0; o < n->numOutputs(); ++o)
                     e.recomp.push_back(n->out(o));
                 e.nodes.push_back(n);
-                std::vector<Shape> in_shapes;
-                for (const Val &v : n->inputs)
-                    in_shapes.push_back(graph::Graph::shapeOf(v));
                 double us = 0.0;
-                for (const graph::KernelDesc &d :
-                     n->op->kernels(in_shapes, n->out_shapes))
-                    us += gpusim::estimateKernel(d, set.config.gpu)
-                              .time_us;
+                for (const double kernel_us : set.index.kernelTimes(n))
+                    us += kernel_us;
                 e.node_replay_us.push_back(us);
             }
         }
@@ -144,11 +129,11 @@ class JointCost
   private:
     /** The per-value objective contribution given its two bits. */
     int64_t
-    contribution(const Val &v, bool stashed, bool recomputed) const
+    contribution(const pass::FeatureMap *fm, const Val &v, bool stashed,
+                 bool recomputed) const
     {
-        auto fm = fm_bytes_->find(v);
-        if (fm != fm_bytes_->end())
-            return (recomputed && !stashed) ? fm->second : 0;
+        if (fm != nullptr)
+            return (recomputed && !stashed) ? fm->bytes : 0;
         return stashed ? -graph::Graph::shapeOf(v).bytes() : 0;
     }
 
@@ -177,11 +162,13 @@ class JointCost
             const bool new_recomp = pend_recomp || set_recomp;
             if (new_stashed == pend_stashed && new_recomp == pend_recomp)
                 return;
+            const pass::FeatureMap *fm = index_->featureMap(v);
             const int64_t before =
-                contribution(v, pend_stashed, pend_recomp);
-            const int64_t after = contribution(v, new_stashed, new_recomp);
+                contribution(fm, v, pend_stashed, pend_recomp);
+            const int64_t after =
+                contribution(fm, v, new_stashed, new_recomp);
             const int64_t delta = after - before;
-            if (fm_bytes_->count(v)) {
+            if (fm != nullptr) {
                 c.bytes_saved += delta;
             } else {
                 c.bytes_added -= delta; // contribution is -bytes_added
@@ -216,10 +203,8 @@ class JointCost
         pending_.clear();
     }
 
-    const ItemSet *set_;
-    /** Shared, immutable across copies — DP entries copy JointCost
-     *  per state, and duplicating the map dominated memory. */
-    std::shared_ptr<const FmBytes> fm_bytes_;
+    /** The ItemSet's pricing data: shared, never copied per state. */
+    const pass::CostIndex *index_;
     std::unordered_set<Val, graph::ValHash> stashed_;
     std::unordered_set<Val, graph::ValHash> recomputed_;
     std::unordered_set<const Node *> replayed_;
@@ -365,9 +350,8 @@ solveGreedy(const ItemSet &set, int64_t required_reduction)
     for (const Item &item : set.items)
         cands.push_back(&item.cand);
     pass::SelectionState state;
-    const std::vector<size_t> ranked =
-        pass::rankByRatio(cands, set.feature_maps, set.config.gpu,
-                          set.config.fuse_replay, state);
+    const std::vector<size_t> ranked = pass::rankByRatio(
+        cands, set.index, set.config.fuse_replay, state);
 
     const std::vector<JointCost::ItemEffect> effects =
         JointCost::effectsOf(set);
@@ -377,8 +361,7 @@ solveGreedy(const ItemSet &set, int64_t required_reduction)
         if (jc.cost().netSavings() >= required_reduction)
             break;
         const pass::CandidateCost cost = pass::evaluateCandidate(
-            *cands[index], set.feature_maps, state, set.config.gpu,
-            set.config.fuse_replay);
+            *cands[index], set.index, state, set.config.fuse_replay);
         if (cost.netSavings() <= 0)
             continue;
         pass::noteAccepted(state, *cands[index], set.config.fuse_replay);

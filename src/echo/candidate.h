@@ -34,7 +34,8 @@ struct Candidate
     FeatureMap target;
     /** Forward nodes to replay, in ascending id (topological) order. */
     std::vector<Node *> subgraph;
-    /** Values crossing into the subgraph (stay stashed). */
+    /** Values crossing into the subgraph (stay stashed), sorted by
+     *  producing node id, then output index. */
     std::vector<Val> frontier;
     /**
      * Interior values consumed by a subgraph node of a different time
@@ -43,7 +44,8 @@ struct Candidate
      * the stash by the consuming step's kernel and survive the rewrite
      * exactly like frontier values — recomputing them saves nothing.
      * This is the liveness interaction that makes chained LSTM
-     * cell-state regions unprofitable.
+     * cell-state regions unprofitable.  Sorted like frontier (the
+     * cost model binary-searches it).
      */
     std::vector<Val> pinned_interior;
     /** False when the region would contain a non-recomputable op. */

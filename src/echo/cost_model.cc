@@ -8,29 +8,98 @@
 
 namespace echo::pass {
 
+namespace {
+
+/** Candidate value order: producing node id, then output index. */
+bool
+valLess(const Val &a, const Val &b)
+{
+    if (a.node->id != b.node->id)
+        return a.node->id < b.node->id;
+    return a.index < b.index;
+}
+
+} // namespace
+
+CostIndex::CostIndex(std::vector<FeatureMap> feature_maps,
+                     const std::vector<Candidate> &candidates,
+                     const gpusim::GpuSpec &gpu)
+    : fms_(std::move(feature_maps))
+{
+    fm_slot_.reserve(fms_.size());
+    for (size_t i = 0; i < fms_.size(); ++i)
+        fm_slot_.emplace(fms_[i].val, i);
+
+    replay_us_.reserve(candidates.size());
+    for (const Candidate &cand : candidates) {
+        double replay_us = 0.0;
+        for (const Node *n : cand.subgraph) {
+            auto [it, fresh] = node_times_.try_emplace(n);
+            NodeTimes &times = it->second;
+            if (fresh) {
+                std::vector<Shape> in_shapes;
+                in_shapes.reserve(n->inputs.size());
+                for (const Val &v : n->inputs)
+                    in_shapes.push_back(graph::Graph::shapeOf(v));
+                times.first = kernel_us_.size();
+                for (const graph::KernelDesc &d :
+                     n->op->kernels(in_shapes, n->out_shapes))
+                    kernel_us_.push_back(
+                        gpusim::estimateKernel(d, gpu).time_us);
+                times.count = kernel_us_.size() - times.first;
+            }
+            for (size_t k = 0; k < times.count; ++k)
+                replay_us += kernel_us_[times.first + k];
+        }
+        replay_us_[cand.target.val] = replay_us;
+    }
+}
+
+const FeatureMap *
+CostIndex::featureMap(const Val &v) const
+{
+    auto it = fm_slot_.find(v);
+    return it == fm_slot_.end() ? nullptr : &fms_[it->second];
+}
+
+std::span<const double>
+CostIndex::kernelTimes(const Node *n) const
+{
+    auto it = node_times_.find(n);
+    ECHO_CHECK(it != node_times_.end(), "cost index has no kernels for "
+               "node ", n->id, " (", n->name, ")");
+    return {kernel_us_.data() + it->second.first, it->second.count};
+}
+
+double
+CostIndex::replayTime(const Candidate &cand) const
+{
+    auto it = replay_us_.find(cand.target.val);
+    ECHO_CHECK(it != replay_us_.end(), "cost index has no candidate "
+               "targeting node ", cand.target.val.node->id, " (",
+               cand.target.val.node->name, ")");
+    return it->second;
+}
+
 CandidateCost
-evaluateCandidate(const Candidate &cand,
-                  const std::vector<FeatureMap> &all_feature_maps,
-                  const SelectionState &state,
-                  const gpusim::GpuSpec &gpu,
-                  bool per_step_fusion)
+evaluateCandidate(const Candidate &cand, const CostIndex &index,
+                  const SelectionState &state, bool per_step_fusion)
 {
     CandidateCost cost;
     if (!cand.admissible)
         return cost;
 
-    std::unordered_map<Val, const FeatureMap *, graph::ValHash> fm_index;
-    for (const FeatureMap &fm : all_feature_maps)
-        fm_index[fm.val] = &fm;
-
     // With per-step fusion, cross-step interior values survive the
     // rewrite as the consuming step's kernel frontier (see
     // Candidate::pinned_interior); the unfused ablation chains clones
     // instead, so there the set is empty and they really die.
-    std::unordered_set<Val, graph::ValHash> pinned;
-    if (per_step_fusion)
-        pinned.insert(cand.pinned_interior.begin(),
-                      cand.pinned_interior.end());
+    static const std::vector<Val> kNoPins;
+    const std::vector<Val> &pinned =
+        per_step_fusion ? cand.pinned_interior : kNoPins;
+    auto isPinned = [&](const Val &v) {
+        return std::binary_search(pinned.begin(), pinned.end(), v,
+                                  valLess);
+    };
 
     // Bytes saved: every feature map produced inside the subgraph stops
     // being stashed across the forward/backward boundary — after the
@@ -42,19 +111,19 @@ evaluateCandidate(const Candidate &cand,
     // regions unprofitable — each step's c_t is pinned by step t+1's
     // replay), and values an accepted candidate keeps stashed as its
     // frontier.
-    for (const Node *n : cand.subgraph) {
-        for (int i = 0; i < const_cast<Node *>(n)->numOutputs(); ++i) {
-            const Val v = const_cast<Node *>(n)->out(i);
-            auto it = fm_index.find(v);
-            if (it == fm_index.end())
+    for (Node *n : cand.subgraph) {
+        for (int i = 0; i < n->numOutputs(); ++i) {
+            const Val v = n->out(i);
+            const FeatureMap *fm = index.featureMap(v);
+            if (fm == nullptr)
                 continue;
             if (state.recomputed.count(v))
                 continue;
-            if (pinned.count(v))
+            if (isPinned(v))
                 continue;
             if (state.stashed.count(v))
                 continue;
-            cost.bytes_saved += it->second->bytes;
+            cost.bytes_saved += fm->bytes;
         }
     }
 
@@ -73,8 +142,7 @@ evaluateCandidate(const Candidate &cand,
             return; // weights/placeholders are resident anyway
         if (state.stashed.count(v))
             return; // another accepted candidate already stashes it
-        auto it = fm_index.find(v);
-        if (it != fm_index.end() && !state.recomputed.count(v))
+        if (index.featureMap(v) != nullptr && !state.recomputed.count(v))
             return; // still a live feature map on its own
         int sharers = 1;
         auto mit = state.frontier_multiplicity.find(v);
@@ -87,16 +155,9 @@ evaluateCandidate(const Candidate &cand,
     for (const Val &v : pinned)
         chargeStash(v);
 
-    // Replay time: the subgraph's kernels, costed on the GPU model.
-    for (const Node *n : cand.subgraph) {
-        std::vector<Shape> in_shapes;
-        for (const Val &v : n->inputs)
-            in_shapes.push_back(graph::Graph::shapeOf(v));
-        for (const graph::KernelDesc &d :
-             n->op->kernels(in_shapes, n->out_shapes)) {
-            cost.replay_time_us += gpusim::estimateKernel(d, gpu).time_us;
-        }
-    }
+    // Replay time: the subgraph's kernels on the GPU model, priced
+    // once when the index was built.
+    cost.replay_time_us = index.replayTime(cand);
     return cost;
 }
 
@@ -117,8 +178,7 @@ noteAccepted(SelectionState &state, const Candidate &cand,
 
 std::vector<size_t>
 rankByRatio(const std::vector<const Candidate *> &cands,
-            const std::vector<FeatureMap> &all_feature_maps,
-            const gpusim::GpuSpec &gpu, bool per_step_fusion,
+            const CostIndex &index, bool per_step_fusion,
             SelectionState &state)
 {
     for (const Candidate *cand : cands) {
@@ -132,8 +192,8 @@ rankByRatio(const std::vector<const Candidate *> &cands,
     std::vector<double> ratio(cands.size(), 0.0);
     std::vector<size_t> order;
     for (size_t i = 0; i < cands.size(); ++i) {
-        const CandidateCost cost = evaluateCandidate(
-            *cands[i], all_feature_maps, state, gpu, per_step_fusion);
+        const CandidateCost cost =
+            evaluateCandidate(*cands[i], index, state, per_step_fusion);
         if (cost.netSavings() <= 0)
             continue;
         // Savings per microsecond of replay; replay below the kernel
@@ -152,8 +212,7 @@ rankByRatio(const std::vector<const Candidate *> &cands,
 
 SetCost
 evaluateAcceptedSet(const std::vector<const Candidate *> &accepted,
-                    const std::vector<FeatureMap> &all_feature_maps,
-                    const gpusim::GpuSpec &gpu, bool per_step_fusion)
+                    const CostIndex &index, bool per_step_fusion)
 {
     SetCost cost;
     SelectionState joint;
@@ -162,35 +221,25 @@ evaluateAcceptedSet(const std::vector<const Candidate *> &accepted,
 
     // Saved: feature maps the set recomputes and no member keeps
     // stashed (as a frontier or a cross-step pinned interior value).
-    std::unordered_set<Val, graph::ValHash> fm_set;
-    for (const FeatureMap &fm : all_feature_maps)
-        fm_set.insert(fm.val);
-    for (const FeatureMap &fm : all_feature_maps)
-        if (joint.recomputed.count(fm.val) &&
-            !joint.stashed.count(fm.val))
-            cost.bytes_saved += fm.bytes;
+    for (const Val &v : joint.recomputed) {
+        const FeatureMap *fm = index.featureMap(v);
+        if (fm != nullptr && !joint.stashed.count(v))
+            cost.bytes_saved += fm->bytes;
+    }
 
     // Added: replay-read values that were not stashed anyway, each
     // charged once regardless of how many members share them.
     for (const Val &v : joint.stashed)
-        if (!fm_set.count(v))
+        if (index.featureMap(v) == nullptr)
             cost.bytes_added += graph::Graph::shapeOf(v).bytes();
 
     // Replay: the union of subgraph nodes, each node's kernels once.
     std::unordered_set<const Node *> replayed;
-    for (const Candidate *cand : accepted) {
-        for (const Node *n : cand->subgraph) {
-            if (!replayed.insert(n).second)
-                continue;
-            std::vector<Shape> in_shapes;
-            for (const Val &v : n->inputs)
-                in_shapes.push_back(graph::Graph::shapeOf(v));
-            for (const graph::KernelDesc &d :
-                 n->op->kernels(in_shapes, n->out_shapes))
-                cost.replay_time_us +=
-                    gpusim::estimateKernel(d, gpu).time_us;
-        }
-    }
+    for (const Candidate *cand : accepted)
+        for (const Node *n : cand->subgraph)
+            if (replayed.insert(n).second)
+                for (const double us : index.kernelTimes(n))
+                    cost.replay_time_us += us;
     return cost;
 }
 

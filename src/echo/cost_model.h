@@ -16,10 +16,15 @@
  *     the baseline iteration) is exhausted; the paper measures the
  *     chosen attention regions at ~1.5 % with a 0.7 % theoretical lower
  *     bound.
+ *
+ * Everything the two models read that does not depend on the selection
+ * state lives in one CostIndex, built once per pass run (or per budget
+ * ItemSet) and shared by every pricing call.
  */
 #ifndef ECHO_ECHO_COST_MODEL_H
 #define ECHO_ECHO_COST_MODEL_H
 
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -27,6 +32,51 @@
 #include "gpusim/kernel_cost.h"
 
 namespace echo::pass {
+
+/**
+ * The selection's state-independent pricing data: the feature maps
+ * with a Val -> feature-map lookup, the modelled time of every kernel
+ * a candidate subgraph node lowers to (kernels() x estimateKernel,
+ * priced once per node), and each candidate's replay time.
+ *
+ * Built from the candidates enumerateCandidates() returned; pricing a
+ * node or candidate that was not indexed is a fatal error.  The index
+ * owns its feature maps and holds no pointers into caller storage, so
+ * it stays valid when copied or moved; keys are graph nodes, so it
+ * is only valid while the graph's forward nodes are.
+ */
+class CostIndex
+{
+  public:
+    CostIndex() = default;
+    CostIndex(std::vector<FeatureMap> feature_maps,
+              const std::vector<Candidate> &candidates,
+              const gpusim::GpuSpec &gpu);
+
+    /** The feature map stashing @p v, or nullptr if @p v is none. */
+    const FeatureMap *featureMap(const Val &v) const;
+
+    /** Modelled time of each kernel @p n lowers to, in kernels() order. */
+    std::span<const double> kernelTimes(const Node *n) const;
+
+    /** Time to replay @p cand's subgraph once: every kernel of every
+     *  subgraph node, accumulated in subgraph order. */
+    double replayTime(const Candidate &cand) const;
+
+  private:
+    struct NodeTimes
+    {
+        size_t first = 0; ///< offset into kernel_us_
+        size_t count = 0;
+    };
+
+    std::vector<FeatureMap> fms_;
+    std::unordered_map<Val, size_t, graph::ValHash> fm_slot_;
+    std::vector<double> kernel_us_;
+    std::unordered_map<const Node *, NodeTimes> node_times_;
+    /** Keyed by target: one candidate per feature map. */
+    std::unordered_map<Val, double, graph::ValHash> replay_us_;
+};
 
 /** Evaluation of one candidate against the current acceptance state. */
 struct CandidateCost
@@ -66,17 +116,16 @@ struct SelectionState
 /**
  * Evaluate @p cand given what has been accepted so far.
  *
- * @param all_feature_maps every feature map of the graph, used to tell
- *        whether a frontier value is stashed anyway.
+ * @param index the pricing data @p cand was indexed into; tells
+ *        whether a frontier value is stashed anyway and supplies the
+ *        replay time.
  * @param per_step_fusion when true (fuse_replay), cross-step interior
  *        values stay stashed and are charged like frontier values; the
  *        unfused ablation chains clones instead, so they really die.
  */
 CandidateCost
-evaluateCandidate(const Candidate &cand,
-                  const std::vector<FeatureMap> &all_feature_maps,
+evaluateCandidate(const Candidate &cand, const CostIndex &index,
                   const SelectionState &state,
-                  const gpusim::GpuSpec &gpu,
                   bool per_step_fusion = true);
 
 /** Record what accepting @p cand contributes to @p state: its frontier
@@ -97,8 +146,7 @@ void noteAccepted(SelectionState &state, const Candidate &cand,
  */
 std::vector<size_t>
 rankByRatio(const std::vector<const Candidate *> &cands,
-            const std::vector<FeatureMap> &all_feature_maps,
-            const gpusim::GpuSpec &gpu, bool per_step_fusion,
+            const CostIndex &index, bool per_step_fusion,
             SelectionState &state);
 
 /** Full-charge joint cost of an accepted set (order-independent). */
@@ -125,8 +173,7 @@ struct SetCost
  */
 SetCost
 evaluateAcceptedSet(const std::vector<const Candidate *> &accepted,
-                    const std::vector<FeatureMap> &all_feature_maps,
-                    const gpusim::GpuSpec &gpu,
+                    const CostIndex &index,
                     bool per_step_fusion = true);
 
 } // namespace echo::pass

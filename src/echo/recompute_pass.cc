@@ -56,7 +56,7 @@ enumerateCandidates(const std::vector<FeatureMap> &fms,
 void
 applyRecomputation(graph::Graph &g,
                    const std::vector<const Candidate *> &accepted,
-                   const std::vector<FeatureMap> &fms,
+                   const CostIndex &index,
                    const PassConfig &config, PassResult &res)
 {
     static obs::Counter &c_accepted = obs::counter("echo.regions_accepted");
@@ -73,7 +73,7 @@ applyRecomputation(graph::Graph &g,
     // saved = feature maps recomputed and not pinned by any replay,
     // added = replay-read values that were not stashed before.
     const SetCost joint =
-        evaluateAcceptedSet(accepted, fms, config.gpu, config.fuse_replay);
+        evaluateAcceptedSet(accepted, index, config.fuse_replay);
     res.bytes_saved = joint.bytes_saved;
     res.bytes_added = joint.bytes_added;
 
@@ -246,7 +246,7 @@ runRecomputePass(graph::Graph &g, const std::vector<Val> &fetches,
     if (obs::traceEnabled())
         pass_span.begin("echo", "recompute_pass");
 
-    const std::vector<FeatureMap> fms = findFeatureMaps(fetches);
+    std::vector<FeatureMap> fms = findFeatureMaps(fetches);
     const gpusim::ProfileReport baseline =
         gpusim::simulateRun(fetches, config.gpu);
     res.baseline_gpu_time_us = baseline.gpu_kernel_time_us;
@@ -260,23 +260,24 @@ runRecomputePass(graph::Graph &g, const std::vector<Val> &fetches,
     // jointly across each family of regions sharing a value.
     const std::vector<Candidate> candidates =
         enumerateCandidates(fms, fetches, config, &res);
+    const CostIndex index(std::move(fms), candidates, config.gpu);
     std::vector<const Candidate *> all;
     all.reserve(candidates.size());
     for (const Candidate &cand : candidates)
         all.push_back(&cand);
     SelectionState state;
-    const std::vector<size_t> ranked = rankByRatio(
-        all, fms, config.gpu, config.fuse_replay, state);
+    const std::vector<size_t> ranked =
+        rankByRatio(all, index, config.fuse_replay, state);
 
     // Greedy provisional acceptance with re-evaluation against the
     // evolving state.  Charges stay amortized here so a family of
     // regions sharing a large frontier can get in together.
     double replay_used_us = 0.0;
     std::vector<const Candidate *> accepted;
-    for (const size_t index : ranked) {
-        const Candidate &cand = candidates[index];
-        const CandidateCost cost = evaluateCandidate(
-            cand, fms, state, config.gpu, config.fuse_replay);
+    for (const size_t i : ranked) {
+        const Candidate &cand = candidates[i];
+        const CandidateCost cost =
+            evaluateCandidate(cand, index, state, config.fuse_replay);
         // One decision event per candidate region: the modeled savings
         // and replay cost the selection acted on (paper Fig. 5/6 are
         // assembled from exactly these numbers).
@@ -319,7 +320,7 @@ runRecomputePass(graph::Graph &g, const std::vector<Val> &fetches,
                 if (j != i)
                     noteAccepted(others, *accepted[j], config.fuse_replay);
             const CandidateCost marginal = evaluateCandidate(
-                *accepted[i], fms, others, config.gpu, config.fuse_replay);
+                *accepted[i], index, others, config.fuse_replay);
             if (marginal.netSavings() <= 0) {
                 if (obs::traceEnabled()) {
                     obs::emitEvent(
@@ -335,7 +336,7 @@ runRecomputePass(graph::Graph &g, const std::vector<Val> &fetches,
         }
     }
 
-    applyRecomputation(g, accepted, fms, config, res);
+    applyRecomputation(g, accepted, index, config, res);
     return res;
 }
 

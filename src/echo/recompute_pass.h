@@ -96,7 +96,9 @@ PassResult runRecomputePass(graph::Graph &graph,
  *
  * This is the shared front half of runRecomputePass; the budget
  * planner (src/budget) prices the same candidates under its solvers,
- * and both rank them with rankByRatio (echo/cost_model.h).
+ * and both rank them with rankByRatio (echo/cost_model.h).  The caller
+ * builds one CostIndex over the result and prices every candidate
+ * through it.
  */
 std::vector<Candidate>
 enumerateCandidates(const std::vector<FeatureMap> &fms,
@@ -110,7 +112,8 @@ enumerateCandidates(const std::vector<FeatureMap> &fms,
  * fuse_replay, per-op clones otherwise), redirect backward references
  * into them, and fill @p res's rewrite fields (num_regions,
  * num_recompute_nodes, bytes_saved / bytes_added at full charge over
- * the set, and replay_time_us measured on the emitted kernels).
+ * the set, priced through @p index, and replay_time_us measured on
+ * the emitted kernels).
  *
  * The rewrite only appends nodes and only mutates backward-phase
  * inputs, so a trial application can be rolled back by restoring the
@@ -120,7 +123,7 @@ enumerateCandidates(const std::vector<FeatureMap> &fms,
  */
 void applyRecomputation(graph::Graph &graph,
                         const std::vector<const Candidate *> &accepted,
-                        const std::vector<FeatureMap> &fms,
+                        const CostIndex &index,
                         const PassConfig &config, PassResult &res);
 
 } // namespace echo::pass

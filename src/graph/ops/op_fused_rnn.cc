@@ -257,6 +257,7 @@ class FusedLstmLayerGradOp : public Op
         Tensor dbias = Tensor::zeros(Shape({4 * h}));
         Tensor dh = dht.clone();
         Tensor dc = dct.clone();
+        const float *reserve_p = reserve.data();
 
         for (int64_t step = t - 1; step >= 0; --step) {
             // Fold in the per-step hidden-state gradient.
@@ -266,8 +267,7 @@ class FusedLstmLayerGradOp : public Op
 
             Tensor dgates(Shape({b, 4 * h}));
             for (int64_t r = 0; r < b; ++r) {
-                const float *res =
-                    reserve.data() + ((step * b + r) * 5 * h);
+                const float *res = reserve_p + ((step * b + r) * 5 * h);
                 for (int64_t j = 0; j < h; ++j) {
                     const float gi = res[0 * h + j];
                     const float gf = res[1 * h + j];
@@ -275,8 +275,8 @@ class FusedLstmLayerGradOp : public Op
                     const float go = res[3 * h + j];
                     const float c = res[4 * h + j];
                     const float c_prev =
-                        step > 0 ? reserve.data()[(((step - 1) * b +
-                                                    r) * 5 + 4) * h + j]
+                        step > 0 ? reserve_p[(((step - 1) * b + r) * 5 +
+                                              4) * h + j]
                                  : c0.at(r, j);
                     const float tc = vec::tanh(c);
                     const float dht_ = dh.at(r, j);

@@ -81,14 +81,17 @@ class SoftmaxGradOp : public Op
         const int64_t n = y.shape().dim(-1);
         const int64_t rows = y.numel() / n;
         Tensor dx(y.shape());
+        const float *dyp = dy.data();
+        const float *yp = y.data();
+        float *dxp = dx.data();
         for (int64_t r = 0; r < rows; ++r) {
             double dot = 0.0;
             for (int64_t j = 0; j < n; ++j)
-                dot += dy.data()[r * n + j] * y.data()[r * n + j];
+                dot += dyp[r * n + j] * yp[r * n + j];
             for (int64_t j = 0; j < n; ++j)
-                dx.data()[r * n + j] =
-                    y.data()[r * n + j] *
-                    (dy.data()[r * n + j] - static_cast<float>(dot));
+                dxp[r * n + j] =
+                    yp[r * n + j] *
+                    (dyp[r * n + j] - static_cast<float>(dot));
         }
         out[0] = std::move(dx);
     }
@@ -142,8 +145,11 @@ class LayerNormOp : public Op
             stats_shape = Shape({1});
         Tensor y(x.shape());
         Tensor rstd(stats_shape);
+        const float *xp = x.data();
+        float *yp = y.data();
+        float *rstdp = rstd.data();
         for (int64_t r = 0; r < rows; ++r) {
-            const float *src = x.data() + r * n;
+            const float *src = xp + r * n;
             double mean = 0.0;
             for (int64_t j = 0; j < n; ++j)
                 mean += src[j];
@@ -156,8 +162,8 @@ class LayerNormOp : public Op
             var /= static_cast<double>(n);
             const float r_inv =
                 static_cast<float>(1.0 / std::sqrt(var + eps_));
-            rstd.data()[r] = r_inv;
-            float *dst = y.data() + r * n;
+            rstdp[r] = r_inv;
+            float *dst = yp + r * n;
             for (int64_t j = 0; j < n; ++j)
                 dst[j] =
                     (src[j] - static_cast<float>(mean)) * r_inv;
@@ -217,22 +223,25 @@ class LayerNormGradOp : public Op
         const int64_t n = y.shape().dim(-1);
         const int64_t rows = y.numel() / n;
         Tensor dx(y.shape());
+        const float *dyp = dy.data();
+        const float *yp = y.data();
+        const float *rstdp = rstd.data();
+        float *dxp = dx.data();
         for (int64_t r = 0; r < rows; ++r) {
             double mean_dy = 0.0;
             double mean_dyy = 0.0;
             for (int64_t j = 0; j < n; ++j) {
-                mean_dy += dy.data()[r * n + j];
-                mean_dyy +=
-                    dy.data()[r * n + j] * y.data()[r * n + j];
+                mean_dy += dyp[r * n + j];
+                mean_dyy += dyp[r * n + j] * yp[r * n + j];
             }
             mean_dy /= static_cast<double>(n);
             mean_dyy /= static_cast<double>(n);
-            const float r_inv = rstd.data()[r];
+            const float r_inv = rstdp[r];
             for (int64_t j = 0; j < n; ++j)
-                dx.data()[r * n + j] =
+                dxp[r * n + j] =
                     r_inv *
-                    static_cast<float>(dy.data()[r * n + j] - mean_dy -
-                                       y.data()[r * n + j] * mean_dyy);
+                    static_cast<float>(dyp[r * n + j] - mean_dy -
+                                       yp[r * n + j] * mean_dyy);
         }
         out[0] = std::move(dx);
     }
@@ -480,6 +489,9 @@ class Conv2dOp : public Op
         const int64_t pad_w = ((wo - 1) * stride_ + s - wd) / 2;
 
         Tensor y = Tensor::zeros(Shape({n, kf, ho, wo}));
+        const float *xp = x.data();
+        const float *wp = w.data();
+        float *yp = y.data();
         for (int64_t i = 0; i < n; ++i)
             for (int64_t k = 0; k < kf; ++k)
                 for (int64_t oy = 0; oy < ho; ++oy)
@@ -495,12 +507,12 @@ class Conv2dOp : public Op
                                     if (iy < 0 || iy >= h || ix < 0 ||
                                         ix >= wd)
                                         continue;
-                                    acc += x.data()[((i * c + ci) * h +
-                                                     iy) * wd + ix] *
-                                           w.data()[((k * c + ci) * r +
-                                                     ry) * s + rx];
+                                    acc += xp[((i * c + ci) * h + iy) *
+                                                  wd + ix] *
+                                           wp[((k * c + ci) * r + ry) *
+                                                  s + rx];
                                 }
-                        y.data()[((i * kf + k) * ho + oy) * wo + ox] =
+                        yp[((i * kf + k) * ho + oy) * wo + ox] =
                             static_cast<float>(acc);
                     }
         out[0] = std::move(y);
@@ -578,13 +590,15 @@ class Conv2dGradInputOp : public Op
         const int64_t pad_w = ((wo - 1) * stride_ + s - wd) / 2;
 
         Tensor dx = Tensor::zeros(x_shape_);
+        const float *dyp = dy.data();
+        const float *wp = w.data();
+        float *dxp = dx.data();
         for (int64_t i = 0; i < n; ++i)
             for (int64_t k = 0; k < kf; ++k)
                 for (int64_t oy = 0; oy < ho; ++oy)
                     for (int64_t ox = 0; ox < wo; ++ox) {
                         const float g =
-                            dy.data()[((i * kf + k) * ho + oy) * wo +
-                                      ox];
+                            dyp[((i * kf + k) * ho + oy) * wo + ox];
                         for (int64_t ci = 0; ci < c; ++ci)
                             for (int64_t ry = 0; ry < r; ++ry)
                                 for (int64_t rx = 0; rx < s; ++rx) {
@@ -595,11 +609,10 @@ class Conv2dGradInputOp : public Op
                                     if (iy < 0 || iy >= h || ix < 0 ||
                                         ix >= wd)
                                         continue;
-                                    dx.data()[((i * c + ci) * h + iy) *
-                                              wd + ix] +=
-                                        g *
-                                        w.data()[((k * c + ci) * r +
-                                                  ry) * s + rx];
+                                    dxp[((i * c + ci) * h + iy) * wd +
+                                        ix] +=
+                                        g * wp[((k * c + ci) * r + ry) *
+                                                   s + rx];
                                 }
                     }
         out[0] = std::move(dx);
@@ -664,13 +677,15 @@ class Conv2dGradWeightOp : public Op
         const int64_t pad_w = ((wo - 1) * stride_ + s - wd) / 2;
 
         Tensor dw = Tensor::zeros(w_shape_);
+        const float *dyp = dy.data();
+        const float *xp = x.data();
+        float *dwp = dw.data();
         for (int64_t i = 0; i < n; ++i)
             for (int64_t k = 0; k < kf; ++k)
                 for (int64_t oy = 0; oy < ho; ++oy)
                     for (int64_t ox = 0; ox < wo; ++ox) {
                         const float g =
-                            dy.data()[((i * kf + k) * ho + oy) * wo +
-                                      ox];
+                            dyp[((i * kf + k) * ho + oy) * wo + ox];
                         for (int64_t ci = 0; ci < c; ++ci)
                             for (int64_t ry = 0; ry < r; ++ry)
                                 for (int64_t rx = 0; rx < s; ++rx) {
@@ -681,10 +696,10 @@ class Conv2dGradWeightOp : public Op
                                     if (iy < 0 || iy >= h || ix < 0 ||
                                         ix >= wd)
                                         continue;
-                                    dw.data()[((k * c + ci) * r + ry) *
-                                              s + rx] +=
-                                        g * x.data()[((i * c + ci) * h +
-                                                      iy) * wd + ix];
+                                    dwp[((k * c + ci) * r + ry) * s +
+                                        rx] +=
+                                        g * xp[((i * c + ci) * h + iy) *
+                                                   wd + ix];
                                 }
                     }
         out[0] = std::move(dw);
@@ -738,12 +753,13 @@ class GlobalAvgPoolOp : public Op
         const int64_t n = x.shape()[0], c = x.shape()[1];
         const int64_t hw = x.shape()[2] * x.shape()[3];
         Tensor y(Shape({n, c}));
+        const float *xp = x.data();
+        float *yp = y.data();
         for (int64_t i = 0; i < n * c; ++i) {
             double acc = 0.0;
             for (int64_t j = 0; j < hw; ++j)
-                acc += x.data()[i * hw + j];
-            y.data()[i] =
-                static_cast<float>(acc / static_cast<double>(hw));
+                acc += xp[i * hw + j];
+            yp[i] = static_cast<float>(acc / static_cast<double>(hw));
         }
         out[0] = std::move(y);
     }
@@ -781,9 +797,11 @@ class GlobalAvgPoolGradOp : public Op
         const int64_t hw = xs[2] * xs[3];
         Tensor dx(xs);
         const float inv = 1.0f / static_cast<float>(hw);
+        const float *dyp = dy.data();
+        float *dxp = dx.data();
         for (int64_t i = 0; i < xs[0] * xs[1]; ++i)
             for (int64_t j = 0; j < hw; ++j)
-                dx.data()[i * hw + j] = dy.data()[i] * inv;
+                dxp[i * hw + j] = dyp[i] * inv;
         out[0] = std::move(dx);
     }
 

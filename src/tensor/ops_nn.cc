@@ -81,9 +81,11 @@ namespace {
 int64_t
 countValidLabels(const Tensor &labels)
 {
+    const float *lp = labels.data();
+    const int64_t n = labels.numel();
     int64_t valid = 0;
-    for (int64_t i = 0; i < labels.numel(); ++i)
-        if (labels.data()[i] >= 0.0f)
+    for (int64_t i = 0; i < n; ++i)
+        if (lp[i] >= 0.0f)
             ++valid;
     return valid;
 }
@@ -106,15 +108,17 @@ crossEntropy(const Tensor &logits, const Tensor &labels)
     thread_local std::vector<float> row_scratch;
     row_scratch.resize(static_cast<size_t>(v));
     float *row = row_scratch.data();
+    const float *lp = labels.data();
+    const float *logits_p = logits.data();
     double loss = 0.0;
     const int64_t valid = countValidLabels(labels);
     for (int64_t i = 0; i < n; ++i) {
-        const float lf = labels.data()[i];
+        const float lf = lp[i];
         if (lf < 0.0f)
             continue;
         const int64_t label = static_cast<int64_t>(lf);
         ECHO_REQUIRE(label < v, "label ", label, " out of vocab ", v);
-        const float *src = logits.data() + i * v;
+        const float *src = logits_p + i * v;
         float mx = src[0];
         for (int64_t j = 1; j < v; ++j)
             mx = std::max(mx, src[j]);

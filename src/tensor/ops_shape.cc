@@ -12,9 +12,11 @@ transpose2d(const Tensor &a)
     const int64_t m = a.shape()[0];
     const int64_t n = a.shape()[1];
     Tensor c(Shape({n, m}));
+    const float *ap = a.data();
+    float *cp = c.data();
     for (int64_t i = 0; i < m; ++i)
         for (int64_t j = 0; j < n; ++j)
-            c.data()[j * m + i] = a.data()[i * n + j];
+            cp[j * m + i] = ap[i * n + j];
     return c;
 }
 
@@ -30,6 +32,8 @@ permute3d(const Tensor &a, const std::vector<int> &perm)
     }
     const int64_t d[3] = {a.shape()[0], a.shape()[1], a.shape()[2]};
     Tensor c(Shape({d[perm[0]], d[perm[1]], d[perm[2]]}));
+    const float *ap = a.data();
+    float *cp = c.data();
     int64_t idx[3];
     for (idx[0] = 0; idx[0] < d[0]; ++idx[0])
         for (idx[1] = 0; idx[1] < d[1]; ++idx[1])
@@ -39,7 +43,7 @@ permute3d(const Tensor &a, const std::vector<int> &perm)
                 const int64_t dst = (idx[perm[0]] * d[perm[1]] +
                                      idx[perm[1]]) * d[perm[2]] +
                                     idx[perm[2]];
-                c.data()[dst] = a.data()[src];
+                cp[dst] = ap[src];
             }
     return c;
 }

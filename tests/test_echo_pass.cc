@@ -7,16 +7,23 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <limits>
+
 #include "core/rng.h"
 #include "echo/candidate.h"
 #include "echo/feature_maps.h"
 #include "echo/recompute_pass.h"
 #include "analysis/analysis.h"
+#include "gpusim/timeline.h"
 #include "graph/autodiff.h"
 #include "graph/executor.h"
 #include "graph/ops/oplib.h"
 #include "memory/profiler.h"
+#include "models/nmt.h"
 #include "models/word_lm.h"
+#include "obs/trace.h"
 #include "pass/builtin_passes.h"
 
 namespace echo::pass {
@@ -581,6 +588,364 @@ TEST(RecomputePass, FusedRegionsDoNotSpanTimeSteps)
             n->op->name() == "fused_recompute" && n->time_step >= 0)
             ++fused_steps;
     EXPECT_GE(fused_steps, 5);
+}
+
+// ---------------------------------------------------------------------
+// Indexed pricing vs a from-scratch reference
+// ---------------------------------------------------------------------
+
+/**
+ * Reference footprint/runtime pricing of one candidate, computed from
+ * scratch on every call: its own Val -> feature-map lookup, its own
+ * pinned set, and the subgraph's kernels priced on the GPU model.  The
+ * CostIndex path must reproduce it bit for bit.
+ */
+CandidateCost
+referenceCandidateCost(const Candidate &cand,
+                       const std::vector<FeatureMap> &fms,
+                       const SelectionState &state,
+                       const gpusim::GpuSpec &gpu, bool per_step_fusion)
+{
+    CandidateCost cost;
+    if (!cand.admissible)
+        return cost;
+    std::unordered_map<Val, const FeatureMap *, graph::ValHash> fm_of;
+    for (const FeatureMap &fm : fms)
+        fm_of[fm.val] = &fm;
+    std::unordered_set<Val, graph::ValHash> pinned;
+    if (per_step_fusion)
+        pinned.insert(cand.pinned_interior.begin(),
+                      cand.pinned_interior.end());
+
+    for (Node *n : cand.subgraph) {
+        for (int i = 0; i < n->numOutputs(); ++i) {
+            const Val v = n->out(i);
+            auto it = fm_of.find(v);
+            if (it == fm_of.end() || state.recomputed.count(v) ||
+                pinned.count(v) || state.stashed.count(v))
+                continue;
+            cost.bytes_saved += it->second->bytes;
+        }
+    }
+    auto charge = [&](const Val &v) {
+        if (v.node->kind != graph::NodeKind::kOp ||
+            state.stashed.count(v))
+            return;
+        if (fm_of.count(v) && !state.recomputed.count(v))
+            return;
+        int sharers = 1;
+        auto mit = state.frontier_multiplicity.find(v);
+        if (mit != state.frontier_multiplicity.end())
+            sharers = std::max(1, mit->second);
+        cost.bytes_added += Graph::shapeOf(v).bytes() / sharers;
+    };
+    for (const Val &v : cand.frontier)
+        charge(v);
+    for (const Val &v : pinned)
+        charge(v);
+
+    for (const Node *n : cand.subgraph) {
+        std::vector<Shape> in_shapes;
+        for (const Val &v : n->inputs)
+            in_shapes.push_back(Graph::shapeOf(v));
+        for (const graph::KernelDesc &d :
+             n->op->kernels(in_shapes, n->out_shapes))
+            cost.replay_time_us += gpusim::estimateKernel(d, gpu).time_us;
+    }
+    return cost;
+}
+
+/** Reference full-charge joint pricing of an accepted set. */
+SetCost
+referenceSetCost(const std::vector<const Candidate *> &accepted,
+                 const std::vector<FeatureMap> &fms,
+                 const gpusim::GpuSpec &gpu, bool per_step_fusion)
+{
+    SetCost cost;
+    SelectionState joint;
+    for (const Candidate *cand : accepted)
+        noteAccepted(joint, *cand, per_step_fusion);
+    std::unordered_set<Val, graph::ValHash> fm_set;
+    for (const FeatureMap &fm : fms) {
+        fm_set.insert(fm.val);
+        if (joint.recomputed.count(fm.val) && !joint.stashed.count(fm.val))
+            cost.bytes_saved += fm.bytes;
+    }
+    for (const Val &v : joint.stashed)
+        if (!fm_set.count(v))
+            cost.bytes_added += Graph::shapeOf(v).bytes();
+    std::unordered_set<const Node *> replayed;
+    for (const Candidate *cand : accepted) {
+        for (const Node *n : cand->subgraph) {
+            if (!replayed.insert(n).second)
+                continue;
+            std::vector<Shape> in_shapes;
+            for (const Val &v : n->inputs)
+                in_shapes.push_back(Graph::shapeOf(v));
+            for (const graph::KernelDesc &d :
+                 n->op->kernels(in_shapes, n->out_shapes))
+                cost.replay_time_us +=
+                    gpusim::estimateKernel(d, gpu).time_us;
+        }
+    }
+    return cost;
+}
+
+/** The pass's selection — amortized ranking, budgeted greedy, then the
+ *  full-charge prune — driven by the reference pricing. */
+struct ReferenceSelection
+{
+    /** State after the greedy loop (multiplicity seeded, members
+     *  provisionally accepted). */
+    SelectionState state;
+    /** Final accepted set, after the prune. */
+    std::vector<const Candidate *> accepted;
+};
+
+ReferenceSelection
+referenceSelect(const std::vector<Candidate> &cands,
+                const std::vector<FeatureMap> &fms,
+                const std::vector<Val> &fetches, const PassConfig &config)
+{
+    const bool fuse = config.fuse_replay;
+    const double budget =
+        config.overhead_budget_fraction < 0.0
+            ? std::numeric_limits<double>::infinity()
+            : config.overhead_budget_fraction *
+                  gpusim::simulateRun(fetches, config.gpu)
+                      .gpu_kernel_time_us;
+    ReferenceSelection sel;
+    for (const Candidate &cand : cands) {
+        for (const Val &v : cand.frontier)
+            ++sel.state.frontier_multiplicity[v];
+        if (fuse)
+            for (const Val &v : cand.pinned_interior)
+                ++sel.state.frontier_multiplicity[v];
+    }
+    std::vector<double> ratio(cands.size(), 0.0);
+    std::vector<size_t> order;
+    for (size_t i = 0; i < cands.size(); ++i) {
+        const CandidateCost cost = referenceCandidateCost(
+            cands[i], fms, sel.state, config.gpu, fuse);
+        if (cost.netSavings() <= 0)
+            continue;
+        ratio[i] = static_cast<double>(cost.netSavings()) /
+                   std::max(0.5, cost.replay_time_us);
+        order.push_back(i);
+    }
+    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+        if (ratio[a] != ratio[b])
+            return ratio[a] > ratio[b];
+        return cands[a].target.val.node->id < cands[b].target.val.node->id;
+    });
+
+    double used_us = 0.0;
+    for (const size_t i : order) {
+        const CandidateCost cost = referenceCandidateCost(
+            cands[i], fms, sel.state, config.gpu, fuse);
+        if (cost.netSavings() <= 0 ||
+            used_us + cost.replay_time_us > budget)
+            continue;
+        used_us += cost.replay_time_us;
+        noteAccepted(sel.state, cands[i], fuse);
+        sel.accepted.push_back(&cands[i]);
+    }
+
+    for (bool changed = true; changed;) {
+        changed = false;
+        for (size_t i = 0; i < sel.accepted.size(); ++i) {
+            SelectionState others;
+            for (size_t j = 0; j < sel.accepted.size(); ++j)
+                if (j != i)
+                    noteAccepted(others, *sel.accepted[j], fuse);
+            if (referenceCandidateCost(*sel.accepted[i], fms, others,
+                                       config.gpu, fuse)
+                    .netSavings() <= 0) {
+                sel.accepted.erase(sel.accepted.begin() +
+                                   static_cast<ptrdiff_t>(i));
+                changed = true;
+                break;
+            }
+        }
+    }
+    return sel;
+}
+
+/** The echo-plan / budget_pareto presets: per-step feature maps
+ *  dominate, so both models offer hundreds of candidates. */
+models::WordLmConfig
+wordLmPreset()
+{
+    models::WordLmConfig cfg;
+    cfg.vocab = 2000;
+    cfg.hidden = 192;
+    cfg.layers = 2;
+    cfg.batch = 16;
+    cfg.seq_len = 35;
+    return cfg;
+}
+
+models::NmtConfig
+nmtPreset()
+{
+    models::NmtConfig cfg;
+    cfg.src_vocab = 1500;
+    cfg.tgt_vocab = 1200;
+    cfg.hidden = 128;
+    cfg.enc_layers = 1;
+    cfg.batch = 16;
+    cfg.src_len = 25;
+    cfg.tgt_len = 25;
+    return cfg;
+}
+
+void
+expectSameCost(const CandidateCost &got, const CandidateCost &want,
+               const Candidate &cand)
+{
+    EXPECT_EQ(got.bytes_saved, want.bytes_saved)
+        << "target #" << cand.target.val.node->id;
+    EXPECT_EQ(got.bytes_added, want.bytes_added)
+        << "target #" << cand.target.val.node->id;
+    // Bit for bit: the index must accumulate kernels in the same order.
+    EXPECT_EQ(got.replay_time_us, want.replay_time_us)
+        << "target #" << cand.target.val.node->id;
+}
+
+void
+expectSameSetCost(const SetCost &got, const SetCost &want)
+{
+    EXPECT_EQ(got.bytes_saved, want.bytes_saved);
+    EXPECT_EQ(got.bytes_added, want.bytes_added);
+    EXPECT_EQ(got.replay_time_us, want.replay_time_us);
+}
+
+template <typename Model, typename Config>
+void
+expectIndexedPricingMatches(const Config &model_cfg)
+{
+    Model m(model_cfg, "autodiff,fusion");
+    const std::vector<FeatureMap> fms = findFeatureMaps(m.fetches());
+    for (const bool fuse : {true, false}) {
+        SCOPED_TRACE(fuse ? "fused replay" : "unfused replay");
+        PassConfig config;
+        config.fuse_replay = fuse;
+        const std::vector<Candidate> cands =
+            enumerateCandidates(fms, m.fetches(), config);
+        ASSERT_GE(cands.size(), 50u);
+        const CostIndex index(fms, cands, config.gpu);
+        const ReferenceSelection sel =
+            referenceSelect(cands, fms, m.fetches(), config);
+        ASSERT_FALSE(sel.accepted.empty());
+
+        const SelectionState empty;
+        for (const Candidate &cand : cands) {
+            expectSameCost(evaluateCandidate(cand, index, empty, fuse),
+                           referenceCandidateCost(cand, fms, empty,
+                                                  config.gpu, fuse),
+                           cand);
+            expectSameCost(
+                evaluateCandidate(cand, index, sel.state, fuse),
+                referenceCandidateCost(cand, fms, sel.state, config.gpu,
+                                       fuse),
+                cand);
+            expectSameSetCost(
+                evaluateAcceptedSet({&cand}, index, fuse),
+                referenceSetCost({&cand}, fms, config.gpu, fuse));
+        }
+        expectSameSetCost(
+            evaluateAcceptedSet(sel.accepted, index, fuse),
+            referenceSetCost(sel.accepted, fms, config.gpu, fuse));
+    }
+}
+
+TEST(CostModel, IndexedPricingMatchesFromScratch)
+{
+    {
+        SCOPED_TRACE("word LM preset");
+        expectIndexedPricingMatches<models::WordLmModel>(wordLmPreset());
+    }
+    {
+        SCOPED_TRACE("NMT preset");
+        expectIndexedPricingMatches<models::NmtModel>(nmtPreset());
+    }
+}
+
+/** Target node ids the traced pass accepted and did not prune. */
+std::vector<int64_t>
+tracedAcceptedTargets(const std::vector<obs::TraceEvent> &events)
+{
+    std::vector<int64_t> accepted, pruned;
+    for (const obs::TraceEvent &e : events) {
+        if (std::strcmp(e.cat, "echo") != 0)
+            continue;
+        const bool accept = e.name == "region.accept";
+        if (!accept && e.name != "region.pruned")
+            continue;
+        for (const obs::Arg &a : e.args)
+            if (std::strcmp(a.key, "target") == 0)
+                (accept ? accepted : pruned).push_back(a.i);
+    }
+    std::vector<int64_t> kept;
+    for (const int64_t id : accepted)
+        if (std::find(pruned.begin(), pruned.end(), id) == pruned.end())
+            kept.push_back(id);
+    std::sort(kept.begin(), kept.end());
+    return kept;
+}
+
+template <typename Model, typename Config>
+void
+expectPassMatchesReferenceSelection(const Config &model_cfg)
+{
+    const PassConfig config;
+
+    // Reference: select with from-scratch pricing on one build, then
+    // rewrite it to learn the emitted replay time.
+    Model ref(model_cfg, "autodiff,fusion");
+    const std::vector<FeatureMap> fms = findFeatureMaps(ref.fetches());
+    const std::vector<Candidate> cands =
+        enumerateCandidates(fms, ref.fetches(), config);
+    const ReferenceSelection sel =
+        referenceSelect(cands, fms, ref.fetches(), config);
+    ASSERT_FALSE(sel.accepted.empty());
+    std::vector<int64_t> want_targets;
+    for (const Candidate *cand : sel.accepted)
+        want_targets.push_back(cand->target.val.node->id);
+    std::sort(want_targets.begin(), want_targets.end());
+    const SetCost want =
+        referenceSetCost(sel.accepted, fms, config.gpu, config.fuse_replay);
+    PassResult ref_res;
+    applyRecomputation(ref.graph(), sel.accepted,
+                       CostIndex(fms, cands, config.gpu), config, ref_res);
+
+    // The pass on an identical build (same node ids), traced so its
+    // per-region decisions name the targets.
+    Model m(model_cfg, "autodiff,fusion");
+    obs::startTrace();
+    const PassResult res =
+        runRecomputePass(m.graph(), m.fetches(), config);
+    obs::stopTrace();
+
+    EXPECT_EQ(tracedAcceptedTargets(obs::snapshotEvents()), want_targets);
+    EXPECT_EQ(res.num_regions, static_cast<int>(sel.accepted.size()));
+    EXPECT_EQ(res.bytes_saved, want.bytes_saved);
+    EXPECT_EQ(res.bytes_added, want.bytes_added);
+    EXPECT_EQ(res.num_recompute_nodes, ref_res.num_recompute_nodes);
+    EXPECT_EQ(res.replay_time_us, ref_res.replay_time_us);
+}
+
+TEST(CostModel, PassSelectionMatchesReferenceSelection)
+{
+    {
+        SCOPED_TRACE("word LM preset");
+        expectPassMatchesReferenceSelection<models::WordLmModel>(
+            wordLmPreset());
+    }
+    {
+        SCOPED_TRACE("NMT preset");
+        expectPassMatchesReferenceSelection<models::NmtModel>(nmtPreset());
+    }
 }
 
 } // namespace

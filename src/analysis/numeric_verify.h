@@ -23,10 +23,6 @@ struct VerifyResult
     bool shapes_match = true;
 
     bool identical() const { return shapes_match && max_abs_diff == 0.0; }
-    bool withinTolerance(double tol) const
-    {
-        return shapes_match && max_abs_diff <= tol;
-    }
 };
 
 /** Element-wise comparison of two equally long fetch lists. */

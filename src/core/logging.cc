@@ -36,11 +36,4 @@ warnImpl(const std::string &msg)
         std::fprintf(stderr, "warn: %s\n", msg.c_str());
 }
 
-void
-informImpl(const std::string &msg)
-{
-    if (!quiet_mode)
-        std::fprintf(stderr, "info: %s\n", msg.c_str());
-}
-
 } // namespace echo

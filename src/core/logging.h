@@ -8,7 +8,7 @@
  *  - fatal(): the caller asked for something impossible (bad shapes, bad
  *    configuration).  Exits with an error code.
  *
- * warn()/inform() report conditions that do not stop execution.
+ * warn() reports conditions that do not stop execution.
  */
 #ifndef ECHO_CORE_LOGGING_H
 #define ECHO_CORE_LOGGING_H
@@ -27,10 +27,7 @@ namespace echo {
 /** Print a warning to stderr; execution continues. */
 void warnImpl(const std::string &msg);
 
-/** Print an informational message to stderr; execution continues. */
-void informImpl(const std::string &msg);
-
-/** Globally silence warn()/inform() (used by benches to keep tables clean). */
+/** Globally silence warn() (used by benches to keep tables clean). */
 void setQuiet(bool quiet);
 
 namespace detail {
@@ -58,9 +55,6 @@ formatMessage(Args &&...args)
 
 #define ECHO_WARN(...) \
     ::echo::warnImpl(::echo::detail::formatMessage(__VA_ARGS__))
-
-#define ECHO_INFORM(...) \
-    ::echo::informImpl(::echo::detail::formatMessage(__VA_ARGS__))
 
 /** Internal invariant check: always on, independent of NDEBUG. */
 #define ECHO_CHECK(cond, ...) \

@@ -148,16 +148,4 @@ Histogram::percentile(double p) const
     return summary_.max();
 }
 
-double
-Ema::add(double v)
-{
-    if (empty_) {
-        value_ = v;
-        empty_ = false;
-    } else {
-        value_ = alpha_ * v + (1.0 - alpha_) * value_;
-    }
-    return value_;
-}
-
 } // namespace echo

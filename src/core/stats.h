@@ -2,7 +2,7 @@
  * @file
  * Small statistics helpers shared by the evaluation harnesses: running
  * summaries (mean/min/max), Pearson correlation (Table 2 of the paper),
- * and an exponential moving average used by training-curve smoothing.
+ * and a log-bucketed histogram for latency percentiles.
  */
 #ifndef ECHO_CORE_STATS_H
 #define ECHO_CORE_STATS_H
@@ -31,7 +31,6 @@ class Summary
 
     double min() const { return min_; }
     double max() const { return max_; }
-    double sum() const { return sum_; }
 
   private:
     size_t count_ = 0;
@@ -108,26 +107,6 @@ class Histogram
     std::vector<int64_t> counts_;
     std::vector<double> exact_; ///< first kExactCapacity samples
     Summary summary_;
-};
-
-/** Exponential moving average with smoothing factor alpha in (0, 1]. */
-class Ema
-{
-  public:
-    explicit Ema(double alpha) : alpha_(alpha) {}
-
-    /** Fold in one observation and return the updated average. */
-    double add(double v);
-
-    /** Current value (0 before the first observation). */
-    double value() const { return value_; }
-
-    bool empty() const { return empty_; }
-
-  private:
-    double alpha_;
-    double value_ = 0.0;
-    bool empty_ = true;
 };
 
 } // namespace echo

@@ -69,9 +69,6 @@ class ThreadPool
       public:
         Task() = default;
 
-        /** True when the handle refers to a submitted task. */
-        bool valid() const { return state_ != nullptr; }
-
         /** True once the task ran (or threw). */
         bool done() const;
 

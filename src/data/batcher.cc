@@ -45,12 +45,6 @@ LmBatcher::next()
     return out;
 }
 
-int64_t
-LmBatcher::batchesPerEpoch() const
-{
-    return std::max<int64_t>(1, (stream_len_ - 1) / seq_len_);
-}
-
 NmtBatcher::NmtBatcher(const ParallelCorpus &corpus, int64_t batch,
                        int64_t src_len, int64_t tgt_len)
     : corpus_(corpus), batch_(batch), src_len_(src_len),
@@ -94,13 +88,6 @@ NmtBatcher::next()
             static_cast<float>(Vocab::kEos);
     }
     return out;
-}
-
-int64_t
-NmtBatcher::batchesPerEpoch() const
-{
-    return std::max<int64_t>(
-        1, static_cast<int64_t>(corpus_.pairs().size()) / batch_);
 }
 
 } // namespace echo::data

@@ -35,9 +35,6 @@ class LmBatcher
     /** Next batch (deterministic sequence; wraps around). */
     LmBatch next();
 
-    /** Batches per full pass over the data. */
-    int64_t batchesPerEpoch() const;
-
   private:
     const Corpus &corpus_;
     int64_t batch_;
@@ -62,8 +59,6 @@ class NmtBatcher
                int64_t src_len, int64_t tgt_len);
 
     NmtBatch next();
-
-    int64_t batchesPerEpoch() const;
 
   private:
     const ParallelCorpus &corpus_;

@@ -48,8 +48,6 @@ class ParallelCorpus
     static ParallelCorpus generate(const ParallelCorpusConfig &config);
 
     const std::vector<SentencePair> &pairs() const { return pairs_; }
-    const Vocab &srcVocab() const { return src_vocab_; }
-    const Vocab &tgtVocab() const { return tgt_vocab_; }
 
     /** The reference translation of @p source under the corpus rule
      *  (used to score BLEU against fresh sentences). */

@@ -7,25 +7,6 @@
 
 namespace echo::pass {
 
-int64_t
-Candidate::interiorBytes() const
-{
-    int64_t bytes = 0;
-    for (const Node *n : subgraph)
-        for (const Shape &s : n->out_shapes)
-            bytes += s.bytes();
-    return bytes;
-}
-
-int64_t
-Candidate::frontierBytes() const
-{
-    int64_t bytes = 0;
-    for (const Val &v : frontier)
-        bytes += graph::Graph::shapeOf(v).bytes();
-    return bytes;
-}
-
 Candidate
 buildCandidate(const FeatureMap &target, bool respect_gemm_boundary)
 {

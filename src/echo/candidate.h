@@ -50,11 +50,6 @@ struct Candidate
     std::vector<Val> pinned_interior;
     /** False when the region would contain a non-recomputable op. */
     bool admissible = false;
-
-    /** Sum of interior bytes replayed (workspace while recomputing). */
-    int64_t interiorBytes() const;
-    /** Sum of frontier bytes (potential new stash cost). */
-    int64_t frontierBytes() const;
 };
 
 /**

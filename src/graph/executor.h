@@ -87,9 +87,6 @@ class Executor
      *  analysis::detectParallelHazards). */
     const SlotTopology &topology() const { return topo_; }
 
-    /** The fetch set this executor was built for. */
-    const std::vector<Val> &fetches() const { return fetches_; }
-
     /** The configured execution mode. */
     ExecMode mode() const { return mode_; }
 

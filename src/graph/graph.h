@@ -95,7 +95,6 @@ class Graph
 
     /** Set the time step recorded on newly created nodes (-1 to clear). */
     void setTimeStep(int step) { time_step_ = step; }
-    int timeStep() const { return time_step_; }
 
     /** Phase recorded on newly created nodes (autodiff/Echo pass use). */
     void setPhase(Phase phase) { phase_ = phase; }

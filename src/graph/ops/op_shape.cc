@@ -62,47 +62,6 @@ class ReshapeOp : public Op
     Shape new_shape_;
 };
 
-class Transpose2dOp : public Op
-{
-  public:
-    std::string name() const override { return "transpose2d"; }
-
-    std::vector<Shape>
-    inferShapes(const std::vector<Shape> &in) const override
-    {
-        ECHO_REQUIRE(in.size() == 1 && in[0].ndim() == 2,
-                     "transpose2d wants a matrix");
-        return {Shape({in[0][1], in[0][0]})};
-    }
-
-    void
-    forward(const std::vector<Tensor> &in,
-            std::vector<Tensor> &out) const override
-    {
-        out[0] = ops::transpose2d(in[0]);
-    }
-
-    std::vector<Val>
-    buildGradient(GradContext &ctx) const override
-    {
-        const Val dy = ctx.out_grads[0];
-        if (!dy.defined())
-            return {Val{}};
-        return {ctx.graph->apply1(transpose2d(), {dy})};
-    }
-
-    std::vector<KernelDesc>
-    kernels(const std::vector<Shape> &in,
-            const std::vector<Shape> &out) const override
-    {
-        KernelDesc k;
-        k.category = "transpose";
-        k.bytes_read = in[0].numel() * 4;
-        k.bytes_written = out[0].numel() * 4;
-        return {k};
-    }
-};
-
 class Permute3dOp : public Op
 {
   public:
@@ -401,12 +360,6 @@ OpPtr
 reshape(Shape new_shape)
 {
     return std::make_shared<ReshapeOp>(std::move(new_shape));
-}
-
-OpPtr
-transpose2d()
-{
-    return std::make_shared<Transpose2dOp>();
 }
 
 OpPtr

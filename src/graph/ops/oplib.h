@@ -73,7 +73,6 @@ OpPtr bmm(bool trans_a, bool trans_b);
 // --- shape plumbing (op_shape.cc) --------------------------------------
 
 OpPtr reshape(Shape new_shape);
-OpPtr transpose2d();
 OpPtr permute3d(std::vector<int> perm);
 OpPtr concat(int axis);
 OpPtr sliceOp(int axis, int64_t begin, int64_t end);

@@ -11,33 +11,15 @@ layoutName(RnnLayout layout)
 }
 
 LayoutDecision
-chooseLayout(const rnn::LstmSpec &spec, const gpusim::GpuSpec &gpu)
-{
-    LayoutDecision d;
-    // Batch-major form: Y = X W^T, output rows = B.
-    d.tbh_time_us =
-        gpusim::estimateGemm(
-            {spec.batch, 4 * spec.hidden, spec.hidden}, gpu)
-            .time_us;
-    // Transposed form: Y^T = W X^T, output rows = 4H.
-    d.thb_time_us =
-        gpusim::estimateGemm(
-            {4 * spec.hidden, spec.batch, spec.hidden}, gpu)
-            .time_us;
-    d.layout = d.thb_time_us < d.tbh_time_us ? RnnLayout::kTHB
-                                             : RnnLayout::kTBH;
-    return d;
-}
-
-LayoutDecision
 chooseLayoutTuned(const rnn::LstmSpec &spec, tune::Autotuner &tuner,
                   int threads)
 {
     if (threads <= 0)
         threads = ThreadPool::global().numThreads();
-    // The two forms of the recurrent projection, as in chooseLayout():
-    // batch-major multiplies [B x H] by W^T (N-transposed weights);
-    // the transposed form multiplies [4H x H] W by X^T.
+    // The two forms of the recurrent projection: batch-major
+    // multiplies [B x H] by W^T (N-transposed weights, output rows =
+    // B); the transposed form multiplies [4H x H] W by X^T (output
+    // rows = 4H).
     const ops::GemmKey tbh{spec.batch, 4 * spec.hidden, spec.hidden,
                            /*trans_a=*/false, /*trans_b=*/true,
                            threads};

@@ -7,13 +7,13 @@
  * to one binary choice per stack: keep the input batch-major
  * ([T x B x H], GEMM form Y = X W^T with M = B) or transpose it to
  * [T x H x B] (GEMM form Y^T = W X^T with M = 4H).  The optimizer makes
- * that choice by comparing the two forms under the analytical GEMM
- * model — exactly one representative layer, as the paper argues.
+ * that choice by timing the two forms of exactly one representative
+ * layer, as the paper argues; bench/fig09_gemm_layout prices the same
+ * two forms under the analytical GEMM model.
  */
 #ifndef ECHO_LAYOUT_LAYOUT_OPTIMIZER_H
 #define ECHO_LAYOUT_LAYOUT_OPTIMIZER_H
 
-#include "gpusim/gemm_model.h"
 #include "rnn/rnn_config.h"
 #include "tune/tuner.h"
 
@@ -29,27 +29,19 @@ const char *layoutName(RnnLayout layout);
 struct LayoutDecision
 {
     RnnLayout layout = RnnLayout::kTBH;
-    /** Modelled time of one recurrent projection in each layout, us. */
+    /** Tuned time of one recurrent projection in each layout, us. */
     double tbh_time_us = 0.0;
     double thb_time_us = 0.0;
-
-    double speedup() const { return tbh_time_us / thb_time_us; }
 };
 
 /**
- * Choose the layout for one LSTM stack by costing a single
+ * Choose the layout for one LSTM stack by timing a single
  * representative recurrent projection in both forms (the paper's
- * one-binary-decision reduction of the NP-hard general problem).
- */
-LayoutDecision chooseLayout(const rnn::LstmSpec &spec,
-                            const gpusim::GpuSpec &gpu);
-
-/**
- * The same binary decision folded into the GEMM autotuner: each form's
- * representative projection is first tuned (so both layouts compete at
- * their best schedule, not at the fixed default) and then the layouts
- * are compared on their tuned MEASURED times rather than the
- * analytical model.  The tuned schedules land in the registry and the
+ * one-binary-decision reduction of the NP-hard general problem),
+ * folded into the GEMM autotuner: each form's projection is first
+ * tuned (so both layouts compete at their best schedule, not at the
+ * fixed default) and then the layouts are compared on their tuned
+ * MEASURED times.  The tuned schedules land in the registry and the
  * tuner's cache like any other search, so the chosen layout's
  * projection runs tuned from its first real call.  Times are the
  * medians in microseconds, mirroring LayoutDecision's units.

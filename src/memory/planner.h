@@ -54,8 +54,6 @@ struct MemoryPlan
     std::unordered_map<Val, Allocation, ValHash> offsets;
     /** Schedule position where the pool peak occurs. */
     int peak_pos = 0;
-
-    int64_t total() const { return pool_peak_bytes + persistent_bytes; }
 };
 
 /** Plan memory for an analyzed schedule. */

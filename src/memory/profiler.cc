@@ -4,26 +4,6 @@
 
 namespace echo::memory {
 
-double
-MemoryProfile::fractionOf(DataStructure ds) const
-{
-    auto it = by_data_structure.find(ds);
-    if (it == by_data_structure.end() || planned_bytes == 0)
-        return 0.0;
-    return static_cast<double>(it->second) /
-           static_cast<double>(planned_bytes);
-}
-
-double
-MemoryProfile::fractionOfLayer(const std::string &tag) const
-{
-    auto it = by_layer.find(tag);
-    if (it == by_layer.end() || planned_bytes == 0)
-        return 0.0;
-    return static_cast<double>(it->second) /
-           static_cast<double>(planned_bytes);
-}
-
 MemoryProfile
 profileMemory(const std::vector<Val> &fetches,
               const std::vector<Val> &weight_grads,

@@ -47,11 +47,6 @@ struct MemoryProfile
     std::map<DataStructure, int64_t> by_data_structure;
     /** Breakdown of planned_bytes by layer tag at the peak. */
     std::map<std::string, int64_t> by_layer;
-
-    /** Fraction of planned bytes in @p ds. */
-    double fractionOf(DataStructure ds) const;
-    /** Fraction of planned bytes in layer @p tag. */
-    double fractionOfLayer(const std::string &tag) const;
 };
 
 /**

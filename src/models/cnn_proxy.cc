@@ -12,7 +12,7 @@ using graph::TagScope;
 using graph::Val;
 
 CnnModel::CnnModel(const CnnConfig &config)
-    : config_(config), graph_(std::make_unique<Graph>())
+    : graph_(std::make_unique<Graph>())
 {
     Graph &g = *graph_;
     const int64_t b = config.batch;

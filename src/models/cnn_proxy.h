@@ -35,15 +35,12 @@ class CnnModel
   public:
     explicit CnnModel(const CnnConfig &config);
 
-    const CnnConfig &config() const { return config_; }
-    graph::Graph &graph() { return *graph_; }
     const std::vector<graph::Val> &fetches() const { return fetches_; }
     const std::vector<graph::Val> &weightGrads() const
     {
         return weight_grads_;
     }
     const graph::Val &loss() const { return loss_; }
-    const NamedWeights &weights() const { return weights_; }
 
     ParamStore initialParams(Rng &rng) const;
 
@@ -53,7 +50,6 @@ class CnnModel
                              const Tensor &labels) const;
 
   private:
-    CnnConfig config_;
     std::unique_ptr<graph::Graph> graph_;
     graph::Val images_, labels_, loss_;
     NamedWeights weights_;

@@ -399,13 +399,12 @@ NmtModel::NmtModel(const NmtConfig &config,
     ctx.wrt.reserve(weights_.size());
     for (const auto &[name, val] : weights_)
         ctx.wrt.push_back(val);
-    pipeline_spec_ =
-        pass::resolveSpec(pass::PipelineKind::kTraining, pipeline_spec);
-    const pass::PassManager pm = pass::buildPipeline(pipeline_spec_);
+    const pass::PassManager pm = pass::buildPipeline(
+        pass::resolveSpec(pass::PipelineKind::kTraining, pipeline_spec));
     pass::PassManager::RunOptions opts;
     opts.die_on_error = true;
     opts.what = "NmtModel pipeline";
-    pipeline_report_ = pm.run(ctx, opts);
+    pm.run(ctx, opts);
     weight_grads_ = ctx.weight_grads;
     fetches_ = ctx.effectiveFetches();
     fusion_ = ctx.fusion;

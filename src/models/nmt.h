@@ -72,7 +72,6 @@ class NmtDecoder
     NmtDecoder &operator=(const NmtDecoder &) = delete;
 
     int64_t batch() const { return batch_; }
-    int64_t srcLen() const { return src_len_; }
     const NmtConfig &config() const { return config_; }
 
     /** Encoder outputs for one source batch. */
@@ -140,14 +139,6 @@ class NmtModel
         return fusion_;
     }
 
-    /** The pipeline spec the constructor ran and its per-stage report
-     *  (IR snapshot diffs + postcondition checker findings). */
-    const std::string &pipelineSpec() const { return pipeline_spec_; }
-    const pass::PipelineReport &pipelineReport() const
-    {
-        return pipeline_report_;
-    }
-
     ParamStore initialParams(Rng &rng) const;
 
     graph::FeedDict makeFeed(const ParamStore &params,
@@ -169,8 +160,6 @@ class NmtModel
     std::vector<graph::Val> weight_grads_;
     std::vector<graph::Val> fetches_;
     fusion::FusionResult fusion_;
-    std::string pipeline_spec_;
-    pass::PipelineReport pipeline_report_;
     mutable std::unique_ptr<NmtDecoder> decode_; // built lazily
 };
 

@@ -41,17 +41,29 @@ readU32(std::istream &is)
     return v;
 }
 
-/** Read the tensor entries that follow the header. */
+/**
+ * Read the tensor entries that follow the header.  Every length is
+ * checked against the bytes left in the file before anything is
+ * allocated, so a corrupt header is a clean error, never a huge
+ * allocation or a wrapped element count.
+ */
 ParamStore
 readBody(std::istream &is, const std::string &path)
 {
+    const std::streampos body = is.tellg();
+    is.seekg(0, std::ios::end);
+    const std::streampos end = is.tellg();
+    is.seekg(body);
+    const auto left = [&] { return static_cast<uint64_t>(end - is.tellg()); };
+
     ParamStore params;
     const uint64_t count = readU64(is);
     ECHO_REQUIRE(is.good(), path,
                  ": corrupt checkpoint: truncated header");
     for (uint64_t i = 0; i < count; ++i) {
         const uint64_t name_len = readU64(is);
-        ECHO_REQUIRE(is.good() && name_len < (1u << 20),
+        ECHO_REQUIRE(is.good() && name_len < (1u << 20) &&
+                         name_len <= left(),
                      path, ": corrupt checkpoint: bad name length");
         std::string name(name_len, '\0');
         is.read(name.data(), static_cast<std::streamsize>(name_len));
@@ -67,14 +79,28 @@ readBody(std::istream &is, const std::string &path)
                              dims[d] < (1ll << 32),
                          path, ": corrupt checkpoint: bad extent");
         }
+        // The data size, each partial product overflow-checked in the
+        // order Shape::numel multiplies.
+        uint64_t bytes = sizeof(float);
+        for (uint64_t d = 0; d < ndim; ++d)
+            ECHO_REQUIRE(!__builtin_mul_overflow(
+                             bytes, static_cast<uint64_t>(dims[d]),
+                             &bytes),
+                         path, ": corrupt checkpoint: tensor '", name,
+                         "' size overflows");
+        ECHO_REQUIRE(bytes <= left(), path,
+                     ": corrupt checkpoint: tensor '", name, "' needs ",
+                     bytes, " data bytes, ", left(), " left");
         Tensor t{Shape(dims)};
-        is.read(reinterpret_cast<char *>(t.data()),
-                static_cast<std::streamsize>(t.numel() *
-                                             sizeof(float)));
+        if (bytes > 0) // an empty tensor has no storage to read into
+            is.read(reinterpret_cast<char *>(t.data()),
+                    static_cast<std::streamsize>(bytes));
         ECHO_REQUIRE(is.good(),
                      path, ": corrupt checkpoint: truncated data");
         params.emplace(std::move(name), std::move(t));
     }
+    ECHO_REQUIRE(left() == 0, path, ": corrupt checkpoint: ", left(),
+                 " trailing bytes");
     return params;
 }
 
@@ -115,7 +141,8 @@ loadParams(const std::string &path)
 
     char magic[8];
     is.read(magic, sizeof(magic));
-    ECHO_REQUIRE(is.good() && std::equal(magic, magic + 4, kMagic),
+    ECHO_REQUIRE(is.good(), path, ": corrupt checkpoint: truncated header");
+    ECHO_REQUIRE(std::equal(magic, magic + 4, kMagic),
                  path, " is not an ECHO checkpoint");
     ECHO_REQUIRE(std::equal(std::begin(magic), std::end(magic),
                             std::begin(kMagic)),
@@ -124,8 +151,8 @@ loadParams(const std::string &path)
                  std::string(kMagic, sizeof(kMagic)), "')");
     const uint32_t version = readU32(is);
     const uint32_t reserved = readU32(is);
-    ECHO_REQUIRE(is.good() && version == kCheckpointVersion &&
-                     reserved == 0,
+    ECHO_REQUIRE(is.good(), path, ": corrupt checkpoint: truncated header");
+    ECHO_REQUIRE(version == kCheckpointVersion && reserved == 0,
                  path, ": unsupported checkpoint version ", version);
     return readBody(is, path);
 }

@@ -26,7 +26,7 @@ linear(Graph &g, Val x, Val w, Val b)
 } // namespace
 
 TransformerModel::TransformerModel(const TransformerConfig &config)
-    : config_(config), graph_(std::make_unique<Graph>())
+    : graph_(std::make_unique<Graph>())
 {
     Graph &g = *graph_;
     const int64_t b = config.batch, t = config.seq_len,

@@ -38,14 +38,12 @@ class TransformerModel
   public:
     explicit TransformerModel(const TransformerConfig &config);
 
-    const TransformerConfig &config() const { return config_; }
     graph::Graph &graph() { return *graph_; }
     const std::vector<graph::Val> &fetches() const { return fetches_; }
     const std::vector<graph::Val> &weightGrads() const
     {
         return weight_grads_;
     }
-    const graph::Val &loss() const { return loss_; }
     const NamedWeights &weights() const { return weights_; }
 
     ParamStore initialParams(Rng &rng) const;
@@ -55,7 +53,6 @@ class TransformerModel
                              const Tensor &labels) const;
 
   private:
-    TransformerConfig config_;
     std::unique_ptr<graph::Graph> graph_;
     graph::Val tokens_, labels_, loss_;
     NamedWeights weights_;

@@ -14,7 +14,7 @@ using graph::Val;
 
 WordLmModel::WordLmModel(const WordLmConfig &config,
                          const std::string &pipeline_spec)
-    : config_(config), graph_(std::make_unique<Graph>())
+    : graph_(std::make_unique<Graph>())
 {
     Graph &g = *graph_;
     const int64_t b = config.batch, t = config.seq_len,

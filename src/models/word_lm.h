@@ -39,7 +39,6 @@ class WordLmModel
     explicit WordLmModel(const WordLmConfig &config,
                          const std::string &pipeline_spec = "");
 
-    const WordLmConfig &config() const { return config_; }
     graph::Graph &graph() { return *graph_; }
 
     /** Training-iteration outputs: loss followed by weight grads. */
@@ -75,7 +74,6 @@ class WordLmModel
                              const data::LmBatch &batch) const;
 
   private:
-    WordLmConfig config_;
     std::unique_ptr<graph::Graph> graph_;
     graph::Val tokens_, labels_, loss_;
     NamedWeights weights_;
@@ -105,9 +103,6 @@ class WordLmStepper
 
     WordLmStepper(const WordLmStepper &) = delete;
     WordLmStepper &operator=(const WordLmStepper &) = delete;
-
-    int64_t batch() const { return batch_; }
-    const WordLmConfig &config() const { return config_; }
 
     /** Per-layer hidden and cell states, each [B x H]. */
     struct State

@@ -32,7 +32,7 @@ counter(const char *name, CounterKind kind)
     auto it = r.by_name.find(name);
     if (it == r.by_name.end()) {
         it = r.by_name
-                 .emplace(name, std::make_unique<Counter>(name, kind))
+                 .emplace(name, std::make_unique<Counter>(kind))
                  .first;
     }
     return *it->second;

@@ -36,10 +36,7 @@ enum class CounterKind { kDeterministic, kScheduling };
 class Counter
 {
   public:
-    Counter(std::string name, CounterKind kind)
-        : name_(std::move(name)), kind_(kind)
-    {
-    }
+    explicit Counter(CounterKind kind) : kind_(kind) {}
 
     /** Monotone tick. @pre delta >= 0 */
     void
@@ -54,12 +51,10 @@ class Counter
         return value_.load(std::memory_order_relaxed);
     }
 
-    const std::string &name() const { return name_; }
     CounterKind kind() const { return kind_; }
 
   private:
     friend void resetCountersForTest();
-    std::string name_;
     CounterKind kind_;
     std::atomic<int64_t> value_{0};
 };

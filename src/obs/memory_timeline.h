@@ -52,7 +52,6 @@ struct MemoryTimeline
     std::vector<MemoryEvent> events;
 
     void clear() { events.clear(); }
-    bool empty() const { return events.empty(); }
 };
 
 /** One point of the footprint curve (state after position @p pos). */

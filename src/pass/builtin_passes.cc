@@ -383,35 +383,26 @@ registeredPassNames()
 }
 
 std::unique_ptr<Pass>
-makePass(const std::string &name)
-{
-    return makePass(name, nullptr);
-}
-
-std::unique_ptr<Pass>
 makePass(const std::string &name, std::string *error)
 {
     std::string base, args;
     if (!splitPassElement(name, &base, &args)) {
-        if (error != nullptr)
-            *error = "malformed pass element '" + name +
-                     "' (expected name or name(args))";
+        *error = "malformed pass element '" + name +
+                 "' (expected name or name(args))";
         return nullptr;
     }
     const PassEntry *entry = findPass(base);
     if (entry == nullptr) {
-        if (error != nullptr)
-            *error = "unknown pass '" + base + "'";
+        *error = "unknown pass '" + base + "'";
         return nullptr;
     }
     std::unique_ptr<Pass> pass = entry->make();
     std::string configure_error;
     if (!pass->configure(args, &configure_error)) {
-        if (error != nullptr)
-            *error = configure_error.empty()
-                         ? "bad arguments '" + args + "' for pass '" +
-                               base + "'"
-                         : configure_error;
+        *error = configure_error.empty()
+                     ? "bad arguments '" + args + "' for pass '" + base +
+                           "'"
+                     : configure_error;
         return nullptr;
     }
     return pass;

@@ -42,13 +42,10 @@ bool isRegisteredPass(const std::string &name);
 /** Every pass name in the table, sorted. */
 std::vector<std::string> registeredPassNames();
 
-/** A fresh instance of the named pass, or nullptr when unknown.
- *  @p name may be a spec element with arguments ("name(args)"); the
- *  argument text is handed to Pass::configure. */
-std::unique_ptr<Pass> makePass(const std::string &name);
-
-/** makePass that reports *why* construction failed (unknown pass,
- *  malformed element, Pass::configure rejection) into @p error. */
+/** A fresh instance of the named pass, or nullptr with the reason
+ *  (unknown pass, malformed element, Pass::configure rejection) in
+ *  @p error.  @p name may be a spec element with arguments
+ *  ("name(args)"); the argument text is handed to Pass::configure. */
 std::unique_ptr<Pass> makePass(const std::string &name,
                                std::string *error);
 

@@ -277,12 +277,6 @@ class PassManager
      */
     PipelineReport run(PipelineContext &ctx, const RunOptions &opts) const;
 
-    PipelineReport
-    run(PipelineContext &ctx) const
-    {
-        return run(ctx, RunOptions{});
-    }
-
     /** run() with die_on_error, naming @p what in any panic; a stage
      *  that cannot run exits 1 with the report. */
     void runOrDie(PipelineContext &ctx, const char *what) const;

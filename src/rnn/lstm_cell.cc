@@ -54,118 +54,4 @@ buildLstmCell(Graph &g, Val x_t, const CellState &prev,
     return next;
 }
 
-PeepholeWeights
-makePeepholeWeights(Graph &g, int64_t hidden, const std::string &prefix)
-{
-    PeepholeWeights p;
-    p.p_i = g.weight(Shape({hidden}), prefix + ".p_i");
-    p.p_f = g.weight(Shape({hidden}), prefix + ".p_f");
-    p.p_o = g.weight(Shape({hidden}), prefix + ".p_o");
-    return p;
-}
-
-namespace {
-
-/** Broadcast-multiply a [BxH] state by a diagonal [H] peephole. */
-Val
-peep(Graph &g, Val state, Val diag)
-{
-    const Shape &s = graph::Graph::shapeOf(state);
-    const Val state3 =
-        g.apply1(ol::reshape(Shape({s[0], 1, s[1]})), {state});
-    // diag replicated per batch row: outer(ones [Bx1], diag).
-    const Val ones =
-        g.apply1(ol::constant(Shape({s[0], 1}), 1.0f), {});
-    const Val diag3 = g.apply1(ol::outerLastAxis(), {ones, diag});
-    const Val prod = g.apply1(ol::mul(), {state3, diag3});
-    return g.apply1(ol::reshape(Shape({s[0], s[1]})), {prod});
-}
-
-} // namespace
-
-CellState
-buildPeepholeLstmCell(Graph &g, Val x_t, const CellState &prev,
-                      const LstmWeights &w, const PeepholeWeights &p)
-{
-    const int64_t hidden = graph::Graph::shapeOf(w.wh)[1];
-
-    // Identical fully-connected projections to the vanilla cell — the
-    // layout-sensitive GEMMs are untouched by the peephole variant.
-    const Val gx = g.apply1(ol::gemm(false, true), {x_t, w.wx});
-    const Val gh = g.apply1(ol::gemm(false, true), {prev.h, w.wh});
-    const Val gates =
-        g.apply1(ol::addBias(), {g.apply1(ol::add(), {gx, gh}), w.bias});
-
-    auto slice_gate = [&](int64_t idx) {
-        return g.apply1(
-            ol::sliceOp(1, idx * hidden, (idx + 1) * hidden), {gates});
-    };
-
-    // Input and forget gates peek at c_{t-1}.
-    const Val i_gate = g.apply1(
-        ol::sigmoidOp(),
-        {g.apply1(ol::add(), {slice_gate(0), peep(g, prev.c, p.p_i)})});
-    const Val f_gate = g.apply1(
-        ol::sigmoidOp(),
-        {g.apply1(ol::add(), {slice_gate(1), peep(g, prev.c, p.p_f)})});
-    const Val g_gate = g.apply1(ol::tanhOp(), {slice_gate(2)});
-
-    CellState next;
-    next.c = g.apply1(ol::add(),
-                      {g.apply1(ol::mul(), {f_gate, prev.c}),
-                       g.apply1(ol::mul(), {i_gate, g_gate})});
-    // Output gate peeks at the NEW cell state c_t.
-    const Val o_gate = g.apply1(
-        ol::sigmoidOp(),
-        {g.apply1(ol::add(), {slice_gate(3), peep(g, next.c, p.p_o)})});
-    next.h = g.apply1(ol::mul(),
-                      {o_gate, g.apply1(ol::tanhOp(), {next.c})});
-    return next;
-}
-
-GruWeights
-makeGruWeights(Graph &g, int64_t input_size, int64_t hidden,
-               const std::string &prefix)
-{
-    GruWeights w;
-    w.wx = g.weight(Shape({3 * hidden, input_size}), prefix + ".wx");
-    w.wh = g.weight(Shape({3 * hidden, hidden}), prefix + ".wh");
-    w.bias = g.weight(Shape({3 * hidden}), prefix + ".bias");
-    return w;
-}
-
-Val
-buildGruCell(Graph &g, Val x_t, Val h_prev, const GruWeights &w)
-{
-    const int64_t hidden = graph::Graph::shapeOf(w.wh)[1];
-
-    const Val gx = g.apply1(
-        ol::addBias(),
-        {g.apply1(ol::gemm(false, true), {x_t, w.wx}), w.bias});
-    const Val gh = g.apply1(ol::gemm(false, true), {h_prev, w.wh});
-
-    auto part = [&](const Val &v, int64_t idx) {
-        return g.apply1(
-            ol::sliceOp(1, idx * hidden, (idx + 1) * hidden), {v});
-    };
-
-    const Val r = g.apply1(ol::sigmoidOp(),
-                           {g.apply1(ol::add(),
-                                     {part(gx, 0), part(gh, 0)})});
-    const Val z = g.apply1(ol::sigmoidOp(),
-                           {g.apply1(ol::add(),
-                                     {part(gx, 1), part(gh, 1)})});
-    const Val n = g.apply1(
-        ol::tanhOp(),
-        {g.apply1(ol::add(),
-                  {part(gx, 2),
-                   g.apply1(ol::mul(), {r, part(gh, 2)})})});
-
-    // h' = (1 - z) * n + z * h_prev, written with primitive ops as
-    // n - z*n + z*h_prev.
-    const Val zn = g.apply1(ol::mul(), {z, n});
-    const Val zh = g.apply1(ol::mul(), {z, h_prev});
-    return g.apply1(ol::add(), {g.apply1(ol::sub(), {n, zn}), zh});
-}
-
 } // namespace echo::rnn

@@ -1,6 +1,6 @@
 /**
  * @file
- * Unfused LSTM / GRU cell builders — one time step as a subgraph of
+ * Unfused LSTM cell builder — one time step as a subgraph of
  * primitive ops, mirroring MXNet's LSTMCell (the paper's "Default"
  * implementation).  Each gate slice, activation, and element-wise update
  * is its own graph node and therefore its own GPU kernel launch, which
@@ -42,48 +42,6 @@ struct CellState
  */
 CellState buildLstmCell(Graph &g, Val x_t, const CellState &prev,
                         const LstmWeights &w);
-
-/** Extra diagonal weights of a peephole LSTM (Gers & Schmidhuber). */
-struct PeepholeWeights
-{
-    Val p_i; ///< [H] peephole into the input gate
-    Val p_f; ///< [H] peephole into the forget gate
-    Val p_o; ///< [H] peephole into the output gate
-};
-
-/** Create the peephole weights for one layer. */
-PeepholeWeights makePeepholeWeights(Graph &g, int64_t hidden,
-                                    const std::string &prefix);
-
-/**
- * Build one unfused peephole-LSTM cell step (paper §4.2: the layout
- * optimization "applies equally well to LSTM variants as long as the 4
- * nonlinear gates are preserved", e.g.\ LSTM with peephole
- * connections): gates additionally see the cell state through diagonal
- * peephole weights.  The fully-connected projections — the layout-
- * sensitive part — are identical to the vanilla cell's.
- */
-CellState buildPeepholeLstmCell(Graph &g, Val x_t, const CellState &prev,
-                                const LstmWeights &w,
-                                const PeepholeWeights &p);
-
-/** Weights of one GRU layer. */
-struct GruWeights
-{
-    Val wx;   ///< [3H x I]
-    Val wh;   ///< [3H x H]
-    Val bias; ///< [3H]
-};
-
-/** Create the weights for one GRU layer. */
-GruWeights makeGruWeights(Graph &g, int64_t input_size, int64_t hidden,
-                          const std::string &prefix);
-
-/**
- * Build one unfused GRU cell step (update/reset gates + candidate):
- * h = (1 - z) * n + z * h_prev.
- */
-Val buildGruCell(Graph &g, Val x_t, Val h_prev, const GruWeights &w);
 
 } // namespace echo::rnn
 

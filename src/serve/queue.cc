@@ -33,18 +33,6 @@ rejectReasonName(RejectReason reason)
     return "?";
 }
 
-const char *
-tierName(Tier tier)
-{
-    switch (tier) {
-      case Tier::kInteractive:
-        return "interactive";
-      case Tier::kBatch:
-        return "batch";
-    }
-    return "?";
-}
-
 RequestQueue::RequestQueue(size_t capacity, size_t batch_capacity)
     : capacity_(capacity),
       batch_capacity_(batch_capacity == 0 ? capacity : batch_capacity)

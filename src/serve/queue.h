@@ -36,7 +36,6 @@ class RequestQueue
      */
     explicit RequestQueue(size_t capacity, size_t batch_capacity = 0);
 
-    size_t capacity() const { return capacity_; }
     size_t batchCapacity() const { return batch_capacity_; }
 
     /** Current depth (racy snapshot; for tests and counters). */

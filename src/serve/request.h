@@ -49,9 +49,6 @@ enum class Tier
     kBatch,       ///< shed early under load (kOverloaded)
 };
 
-/** Stable name for logs and CLI output. */
-const char *tierName(Tier tier);
-
 /** One unit of serving work. */
 struct Request
 {

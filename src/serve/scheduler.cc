@@ -339,21 +339,4 @@ ContinuousScheduler::leaseJournal() const
     return journal_;
 }
 
-int64_t
-ContinuousScheduler::poolBase(size_t session_index) const
-{
-    ECHO_REQUIRE(session_index < pool_base_.size(),
-                 "bad session index");
-    return pool_base_[session_index];
-}
-
-int64_t
-ContinuousScheduler::numSlots() const
-{
-    int64_t slots = 1;
-    for (const InferenceSession *session : sessions_)
-        slots = std::max(slots, session->config().slots);
-    return slots;
-}
-
 } // namespace echo::serve

@@ -87,12 +87,6 @@ class ContinuousScheduler
      *  read concurrently; complete once run() returned. */
     std::vector<analysis::SlotLease> leaseJournal() const;
 
-    /** Pool-id base of @p session_index within the journal. */
-    int64_t poolBase(size_t session_index) const;
-
-    /** Rows per lane (the --serve-slots value for echo-lint). */
-    int64_t numSlots() const;
-
   private:
     struct Running
     {

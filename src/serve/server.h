@@ -129,12 +129,6 @@ class Server
 
     ServerStats stats() const;
 
-    size_t numSessions() const { return sessions_.size(); }
-    const InferenceSession &session(size_t i = 0) const
-    {
-        return *sessions_.at(i);
-    }
-
     /** The slot-recycling journal (pools offset per session) for
      *  echo-lint --serve-journal.  Complete after stop(). */
     std::vector<analysis::SlotLease> leaseJournal() const;

@@ -64,9 +64,6 @@ Tensor bmm(const Tensor &a, bool trans_a, const Tensor &b, bool trans_b);
 Tensor bmmWithSchedule(const Tensor &a, bool trans_a, const Tensor &b,
                        bool trans_b, const GemmSchedule &schedule);
 
-/** Outer product of two vectors: [M] x [N] -> [M x N]. */
-Tensor outer(const Tensor &u, const Tensor &v);
-
 // ----------------------------------------------------------------------
 // Element-wise family (ops_elementwise.cc)
 // ----------------------------------------------------------------------
@@ -75,16 +72,11 @@ Tensor add(const Tensor &a, const Tensor &b);
 Tensor sub(const Tensor &a, const Tensor &b);
 Tensor mul(const Tensor &a, const Tensor &b);
 
-/** a + alpha * b, shapes must match. */
-Tensor axpy(const Tensor &a, const Tensor &b, float alpha);
-
-Tensor addScalar(const Tensor &a, float s);
 Tensor mulScalar(const Tensor &a, float s);
 
 Tensor tanh(const Tensor &a);
 Tensor sigmoid(const Tensor &a);
 Tensor relu(const Tensor &a);
-Tensor square(const Tensor &a);
 Tensor negate(const Tensor &a);
 
 /** dst += src (in place); shapes must match. */
@@ -109,9 +101,6 @@ Tensor broadcastAddBT(const Tensor &x, const Tensor &q);
 
 /** Sum over the middle axis: [B x T x H] -> [B x H]. */
 Tensor sumAxis1(const Tensor &x);
-
-/** Sum over the last axis: [... x N] -> [...]. */
-Tensor sumLastAxis(const Tensor &x);
 
 /**
  * Contract the last axis with a vector: [B x T x H] . [H] -> [B x T].
@@ -153,9 +142,6 @@ Tensor reverseAxis(const Tensor &a, int axis);
 /** Numerically stable softmax along the last axis (2-D or 3-D). */
 Tensor softmaxLastAxis(const Tensor &a);
 
-/** log(softmax) along the last axis. */
-Tensor logSoftmaxLastAxis(const Tensor &a);
-
 /**
  * Mean cross-entropy of logits [N x V] against integer labels [N]
  * (labels carried as floats).  Positions with label < 0 are ignored
@@ -179,12 +165,8 @@ Tensor layerNormLastAxis(const Tensor &a, float eps = 1e-5f);
 /** Embedding lookup: table [V x H], ids [...], result [... x H]. */
 Tensor embeddingLookup(const Tensor &table, const Tensor &ids);
 
-/** Scatter-add gradient of embeddingLookup into a [V x H] tensor. */
-Tensor embeddingGrad(const Tensor &table, const Tensor &ids,
-                     const Tensor &out_grad);
-
-/** Same, from the table's shape alone — no dummy table allocation
- *  (exactly one output-sized allocation). */
+/** Scatter-add gradient of embeddingLookup into a tensor of the
+ *  table's shape [V x H] (exactly one output-sized allocation). */
 Tensor embeddingGrad(const Shape &table_shape, const Tensor &ids,
                      const Tensor &out_grad);
 

@@ -67,20 +67,6 @@ mul(const Tensor &a, const Tensor &b)
 }
 
 Tensor
-axpy(const Tensor &a, const Tensor &b, float alpha)
-{
-    return zipWith(a, b,
-                   [alpha](float x, float y) { return x + alpha * y; },
-                   "axpy");
-}
-
-Tensor
-addScalar(const Tensor &a, float s)
-{
-    return mapWith(a, [s](float x) { return x + s; });
-}
-
-Tensor
 mulScalar(const Tensor &a, float s)
 {
     return mapWith(a, [s](float x) { return x * s; });
@@ -102,12 +88,6 @@ Tensor
 relu(const Tensor &a)
 {
     return mapWith(a, [](float x) { return x > 0.0f ? x : 0.0f; });
-}
-
-Tensor
-square(const Tensor &a)
-{
-    return mapWith(a, [](float x) { return x * x; });
 }
 
 Tensor
@@ -210,29 +190,6 @@ sumAxis1(const Tensor &x)
             for (int64_t s = 0; s < t; ++s)
                 for (int64_t j = 0; j < h; ++j)
                     pc[i * h + j] += px[(i * t + s) * h + j];
-    });
-    return c;
-}
-
-Tensor
-sumLastAxis(const Tensor &x)
-{
-    ECHO_REQUIRE(x.shape().ndim() >= 1, "sumLastAxis needs >= 1-D");
-    const int64_t n = x.shape().dim(-1);
-    const int64_t rows = x.numel() / n;
-    Shape out_shape = x.shape().dropAxis(x.shape().ndim() - 1);
-    if (out_shape.ndim() == 0)
-        out_shape = Shape({1});
-    Tensor c = Tensor::zeros(out_shape);
-    const float *px = x.data();
-    float *pc = c.data();
-    parallelUnits(rows, n, [=](int64_t r0, int64_t r1) {
-        for (int64_t r = r0; r < r1; ++r) {
-            double acc = 0.0;
-            for (int64_t j = 0; j < n; ++j)
-                acc += px[r * n + j];
-            pc[r] = static_cast<float>(acc);
-        }
     });
     return c;
 }

@@ -628,22 +628,4 @@ bmmWithSchedule(const Tensor &a, bool trans_a, const Tensor &b,
     return c;
 }
 
-Tensor
-outer(const Tensor &u, const Tensor &v)
-{
-    ECHO_REQUIRE(u.shape().ndim() == 1 && v.shape().ndim() == 1,
-                 "outer needs vectors");
-    const int64_t m = u.shape()[0];
-    const int64_t n = v.shape()[0];
-    Tensor c(Shape({m, n}));
-    ThreadPool::global().parallelFor(
-        0, m, std::max<int64_t>(1, 8192 / std::max<int64_t>(1, n)),
-        [&](int64_t i0, int64_t i1) {
-            for (int64_t i = i0; i < i1; ++i)
-                for (int64_t j = 0; j < n; ++j)
-                    c.data()[i * n + j] = u.data()[i] * v.data()[j];
-        });
-    return c;
-}
-
 } // namespace echo::ops

@@ -45,36 +45,6 @@ softmaxLastAxis(const Tensor &a)
     return c;
 }
 
-Tensor
-logSoftmaxLastAxis(const Tensor &a)
-{
-    const int64_t n = a.shape().dim(-1);
-    const int64_t rows = a.numel() / n;
-    Tensor c(a.shape());
-    const float *pa = a.data();
-    float *pc = c.data();
-    parallelUnits(rows, n, [=](int64_t r0, int64_t r1) {
-        for (int64_t r = r0; r < r1; ++r) {
-            const float *src = pa + r * n;
-            float *dst = pc + r * n;
-            float mx = src[0];
-            for (int64_t j = 1; j < n; ++j)
-                mx = std::max(mx, src[j]);
-            // dst holds the row's exponentials until the final pass.
-            for (int64_t j = 0; j < n; ++j)
-                dst[j] = vec::exp(src[j] - mx);
-            double denom = 0.0;
-            for (int64_t j = 0; j < n; ++j)
-                denom += dst[j];
-            const float log_denom =
-                static_cast<float>(std::log(denom)) + mx;
-            for (int64_t j = 0; j < n; ++j)
-                dst[j] = src[j] - log_denom;
-        }
-    });
-    return c;
-}
-
 namespace {
 
 /** Count the non-padding labels (label >= 0). */
@@ -100,11 +70,10 @@ crossEntropy(const Tensor &logits, const Tensor &labels)
     const int64_t v = logits.shape()[1];
     ECHO_REQUIRE(labels.numel() == n, "label count mismatch");
 
-    // Per-row log-softmax computed inline, in exactly the float-op
-    // order logSoftmaxLastAxis uses — bit-identical loss without
-    // materializing an [N x V] temporary per call; the exponentials go
-    // through one reused per-thread row.  The serial loop keeps the
-    // summation order fixed.
+    // Per-row log-softmax computed inline, without materializing an
+    // [N x V] temporary per call; the exponentials go through one
+    // reused per-thread row.  The serial loop keeps the summation order
+    // fixed.
     thread_local std::vector<float> row_scratch;
     row_scratch.resize(static_cast<size_t>(v));
     float *row = row_scratch.data();
@@ -223,13 +192,6 @@ embeddingLookup(const Tensor &table, const Tensor &ids)
         }
     });
     return c;
-}
-
-Tensor
-embeddingGrad(const Tensor &table, const Tensor &ids,
-              const Tensor &out_grad)
-{
-    return embeddingGrad(table.shape(), ids, out_grad);
 }
 
 Tensor

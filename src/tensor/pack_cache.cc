@@ -402,12 +402,4 @@ clearPackCacheForTest()
     st.hits = st.misses = st.rejects = st.invalidations = 0;
 }
 
-void
-setPackCacheCapForTest(int64_t bytes)
-{
-    CacheState &st = state();
-    std::lock_guard<std::mutex> lk(st.mu);
-    st.cap_bytes = bytes < 0 ? defaultCapBytes() : bytes;
-}
-
 } // namespace echo::ops

@@ -103,9 +103,6 @@ PackCacheStats packCacheStats();
 /** Drop every entry and registration (tests). */
 void clearPackCacheForTest();
 
-/** Override the resident-byte cap (tests; <0 restores the default). */
-void setPackCacheCapForTest(int64_t bytes);
-
 } // namespace echo::ops
 
 #endif // ECHO_TENSOR_PACK_CACHE_H

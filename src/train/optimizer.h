@@ -46,9 +46,6 @@ class SgdOptimizer : public Optimizer
     double step(ParamStore &params, const NamedWeights &weights,
                 const std::vector<Tensor> &grads) override;
 
-    void setLearningRate(double lr) { lr_ = lr; }
-    double learningRate() const { return lr_; }
-
   private:
     double lr_;
     double momentum_;

@@ -57,12 +57,4 @@ runTrainingLoop(const graph::Executor &executor,
     return curve;
 }
 
-double
-speedometer(int64_t batch, double seconds_per_iteration)
-{
-    ECHO_REQUIRE(seconds_per_iteration > 0.0,
-                 "speedometer needs positive iteration time");
-    return static_cast<double>(batch) / seconds_per_iteration;
-}
-
 } // namespace echo::train

@@ -56,12 +56,6 @@ runTrainingLoop(const graph::Executor &executor,
                     &apply_grads,
                 const std::function<double()> &validate = {});
 
-/**
- * Throughput meter in the style of MXNet's Speedometer: the average
- * samples/s over the run given modelled iteration time.
- */
-double speedometer(int64_t batch, double seconds_per_iteration);
-
 } // namespace echo::train
 
 #endif // ECHO_TRAIN_TRAINER_H

@@ -251,14 +251,6 @@ Autotuner::outcomes() const
     return outcomes_;
 }
 
-bool
-Autotuner::persist()
-{
-    std::lock_guard lock(mu_);
-    ensureLoadedLocked();
-    return saveTuneCache(cache_path_, entries_);
-}
-
 // ------------------------------------------------- global wiring --
 
 namespace {
@@ -266,7 +258,6 @@ namespace {
 struct GlobalTuner
 {
     std::mutex mu;
-    Autotuner *tuner = nullptr;   // test override
     Autotuner *owned = nullptr;   // lazily created default
     bool resolver_installed = false;
 };
@@ -281,8 +272,6 @@ globalState()
 Autotuner &
 currentTuner(GlobalTuner &g)
 {
-    if (g.tuner != nullptr)
-        return *g.tuner;
     if (g.owned == nullptr)
         g.owned = new Autotuner(); // intentionally leaked (process-wide)
     return *g.owned;
@@ -330,20 +319,6 @@ ensureGlobalTuner()
     GlobalTuner &g = globalState();
     std::lock_guard lock(g.mu);
     installPolicy(g);
-}
-
-void
-setGlobalTunerForTest(Autotuner *tuner)
-{
-    GlobalTuner &g = globalState();
-    std::lock_guard lock(g.mu);
-    g.tuner = tuner;
-    if (g.resolver_installed) {
-        ops::setScheduleResolver(nullptr);
-        g.resolver_installed = false;
-    }
-    if (tuner != nullptr)
-        installPolicy(g);
 }
 
 } // namespace echo::tune

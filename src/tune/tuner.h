@@ -94,10 +94,6 @@ class Autotuner
     /** Decisions this tuner has made or loaded, for inspection. */
     std::vector<TuneOutcome> outcomes() const;
 
-    /** Write the cache file now (also done after each search). */
-    bool persist();
-
-    const TuneOptions &options() const { return options_; }
     const std::string &cachePath() const { return cache_path_; }
 
   private:
@@ -111,7 +107,7 @@ class Autotuner
     mutable std::mutex mu_;
     bool loaded_ = false;
     /** Every entry from the cache file (all ISAs) plus new decisions —
-     *  what persist() writes back, so foreign-ISA entries survive. */
+     *  what each save writes back, so foreign-ISA entries survive. */
     std::vector<CacheEntry> entries_;
     std::vector<TuneOutcome> outcomes_;
 };
@@ -126,10 +122,6 @@ class Autotuner
  */
 Autotuner &globalTuner();
 void ensureGlobalTuner();
-
-/** Test hook: replace the global tuner (pass nullptr to reset to the
- *  default-constructed one) and reinstall resolver per tuneMode(). */
-void setGlobalTunerForTest(Autotuner *tuner);
 
 } // namespace echo::tune
 

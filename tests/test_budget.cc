@@ -498,7 +498,7 @@ TEST(BudgetPass, PipelineEstablishesPlanFeasible)
                              std::to_string(budget) + ":solver=dp)";
     pass::PassManager pm = pass::buildPipeline(spec);
     EXPECT_TRUE(pm.validate(ctx.initialInvariants()).empty());
-    const pass::PipelineReport report = pm.run(ctx);
+    const pass::PipelineReport report = pm.run(ctx, {});
     EXPECT_TRUE(report.ok()) << report.toString();
     EXPECT_TRUE(ctx.holds.count(pass::Invariant::kPlanFeasible));
     EXPECT_TRUE(ctx.has_budget_plan);

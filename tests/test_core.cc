@@ -202,14 +202,6 @@ TEST(Histogram, UnderflowAndOverflowCounted)
     EXPECT_EQ(h.count(), 3u);
 }
 
-TEST(Ema, ConvergesToConstantInput)
-{
-    Ema e(0.5);
-    for (int i = 0; i < 50; ++i)
-        e.add(3.0);
-    EXPECT_NEAR(e.value(), 3.0, 1e-9);
-}
-
 TEST(Table, AlignsAndCounts)
 {
     Table t({"name", "value"});

@@ -96,7 +96,9 @@ TEST(LmBatcher, WrapsAround)
 {
     const Corpus c = Corpus::generate(smallCorpusConfig());
     LmBatcher batcher(c, 4, 10);
-    const int64_t per_epoch = batcher.batchesPerEpoch();
+    // Each of the 4 streams holds size/4 tokens; a window of 10 inputs
+    // needs one more token for its last label.
+    const int64_t per_epoch = (c.size() / 4 - 1) / 10;
     EXPECT_GT(per_epoch, 10);
     const LmBatch first = batcher.next();
     for (int64_t i = 1; i < per_epoch; ++i)

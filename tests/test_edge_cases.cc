@@ -12,7 +12,7 @@
 #include "graph/executor.h"
 #include "graph/ops/oplib.h"
 #include "gpusim/gpu_spec.h"
-#include "layout/layout_optimizer.h"
+#include "gpusim/gemm_model.h"
 #include "rnn/rnn_config.h"
 #include "tensor/ops.h"
 
@@ -195,16 +195,11 @@ TEST(EdgeVocab, PresetsMatchDatasetStatistics)
 
 TEST(EdgeLayout, TinyBatchStillDecides)
 {
-    rnn::LstmSpec spec;
-    spec.input_size = 32;
-    spec.hidden = 32;
-    spec.layers = 1;
-    spec.batch = 1;
-    spec.seq_len = 4;
-    const auto d =
-        layout::chooseLayout(spec, gpusim::GpuSpec::titanXp());
-    EXPECT_GT(d.tbh_time_us, 0.0);
-    EXPECT_GT(d.thb_time_us, 0.0);
+    // Both forms of a B=1, H=32 recurrent projection ([B x 4H] and
+    // [4H x B], K = H) still get a positive modelled time.
+    const gpusim::GpuSpec gpu = gpusim::GpuSpec::titanXp();
+    EXPECT_GT(gpusim::estimateGemm({1, 4 * 32, 32}, gpu).time_us, 0.0);
+    EXPECT_GT(gpusim::estimateGemm({4 * 32, 1, 32}, gpu).time_us, 0.0);
 }
 
 TEST(EdgeGpu, MemoryCapacitiesMatchDatasheets)

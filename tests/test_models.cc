@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 
 #include "data/batcher.h"
@@ -557,6 +558,108 @@ TEST(Serialize, RejectsUnsupportedVersion)
     }
     EXPECT_EXIT({ loadParams(path); }, ::testing::ExitedWithCode(1),
                 "unsupported checkpoint version");
+}
+
+/** Write a one-tensor checkpoint whose header declares @p dims and
+ *  that holds no data bytes at all. */
+void
+writeHeaderOnlyCheckpoint(const std::vector<int64_t> &dims,
+                          const std::string &path)
+{
+    std::ofstream os(path, std::ios::binary | std::ios::trunc);
+    const auto raw = [&](const auto &v) {
+        os.write(reinterpret_cast<const char *>(&v), sizeof(v));
+    };
+    os.write("ECHOCKPT", 8);
+    raw(kCheckpointVersion);
+    raw(uint32_t{0}); // reserved
+    raw(uint64_t{1}); // tensor count
+    raw(uint64_t{1}); // name length
+    os.write("w", 1);
+    raw(uint64_t{dims.size()});
+    for (const int64_t extent : dims)
+        raw(extent);
+}
+
+TEST(Serialize, RejectsTensorLargerThanTheFile)
+{
+    // 2^40 elements: allocating them first used to abort the process.
+    const std::string path = ::testing::TempDir() + "echo_huge.ckpt";
+    writeHeaderOnlyCheckpoint({1ll << 20, 1ll << 20}, path);
+    EXPECT_EXIT({ loadParams(path); }, ::testing::ExitedWithCode(1),
+                "corrupt checkpoint");
+}
+
+TEST(Serialize, RejectsOverflowingElementCount)
+{
+    // 2^31 * 2^31 * 4 elements wraps a 64-bit element count to 0.
+    const std::string path = ::testing::TempDir() + "echo_wrap.ckpt";
+    writeHeaderOnlyCheckpoint({1ll << 31, 1ll << 31, 4}, path);
+    EXPECT_EXIT({ loadParams(path); }, ::testing::ExitedWithCode(1),
+                "corrupt checkpoint");
+}
+
+TEST(Serialize, TruncatedOrBitFlippedHeadersFailCleanly)
+{
+    Rng rng(49);
+    ParamStore params;
+    params["a"] = Tensor::uniform(Shape({2, 3}), rng);
+    params["bias"] = Tensor::uniform(Shape({4}), rng);
+    const std::string good = ::testing::TempDir() + "echo_fuzz_src.ckpt";
+    saveParams(params, good);
+    std::ifstream is(good, std::ios::binary);
+    const std::string bytes((std::istreambuf_iterator<char>(is)),
+                            std::istreambuf_iterator<char>());
+
+    // Offsets of the structural u64 words: the tensor count, then per
+    // tensor its name length, rank and extents.
+    std::vector<size_t> words = {16};
+    const auto u64At = [&](size_t off) {
+        uint64_t v = 0;
+        std::memcpy(&v, bytes.data() + off, sizeof(v));
+        return v;
+    };
+    size_t off = 24;
+    for (uint64_t i = 0; i < u64At(16); ++i) {
+        words.push_back(off);
+        off += 8 + u64At(off);
+        const uint64_t ndim = u64At(off);
+        uint64_t numel = 1;
+        for (uint64_t d = 0; d <= ndim; ++d) {
+            words.push_back(off + 8 * d);
+            if (d > 0)
+                numel *= u64At(off + 8 * d);
+        }
+        off += 8 * (ndim + 1) + 4 * numel;
+    }
+    ASSERT_EQ(off, bytes.size());
+
+    const std::string path = ::testing::TempDir() + "echo_fuzz.ckpt";
+    const auto expectCleanFailure = [&](const std::string &content,
+                                        const std::string &what) {
+        {
+            std::ofstream os(path, std::ios::binary | std::ios::trunc);
+            os.write(content.data(),
+                     static_cast<std::streamsize>(content.size()));
+        }
+        // Exit code 1 is the loader's error; an abort (bad_alloc, a
+        // wrapped element count) would be a signal instead.
+        EXPECT_EXIT({ loadParams(path); }, ::testing::ExitedWithCode(1),
+                    "corrupt checkpoint")
+            << what;
+    };
+    for (size_t len = 0; len < bytes.size(); ++len)
+        expectCleanFailure(bytes.substr(0, len),
+                           "prefix of " + std::to_string(len) + " bytes");
+    for (const size_t word : words)
+        for (int bit = 0; bit < 64; ++bit) {
+            std::string flipped = bytes;
+            flipped[word + bit / 8] =
+                static_cast<char>(flipped[word + bit / 8] ^ (1 << bit % 8));
+            expectCleanFailure(flipped, "bit " + std::to_string(bit) +
+                                            " of the word at byte " +
+                                            std::to_string(word));
+        }
 }
 
 TEST(Cnn, BuildsAndComputesFiniteLoss)

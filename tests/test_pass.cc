@@ -128,8 +128,9 @@ TEST(PassRegistry, BuiltinsRegisteredUnknownsNot)
     for (const std::string &name : registeredPassNames())
         EXPECT_TRUE(isRegisteredPass(name)) << name;
     EXPECT_FALSE(isRegisteredPass("bogus"));
-    EXPECT_EQ(makePass("bogus"), nullptr);
-    EXPECT_EQ(makePass("layout"), nullptr);
+    std::string error;
+    EXPECT_EQ(makePass("bogus", &error), nullptr);
+    EXPECT_EQ(makePass("layout", &error), nullptr);
 }
 
 TEST(PassRegistry, BuiltinCheckersResolvable)
@@ -339,7 +340,7 @@ TEST(Postconditions, BuggyPassCaughtByGraphVerifier)
     // Statically legal — the bug is behavioral, not an ordering issue.
     EXPECT_TRUE(pm.validate(ctx.initialInvariants()).empty());
 
-    const PipelineReport report = pm.run(ctx);
+    const PipelineReport report = pm.run(ctx, {});
     EXPECT_TRUE(report.aborted);
     EXPECT_FALSE(report.ok());
     ASSERT_EQ(report.stages.size(), 2u);
@@ -375,7 +376,7 @@ TEST(PostconditionsDeathTest, AutodiffWithoutLossFailsTheStage)
     };
     models::WordLmModel model(tinyLmConfig(), "none");
     PipelineContext ctx = make_ctx(model);
-    const PipelineReport report = buildPipeline("autodiff,fusion").run(ctx);
+    const PipelineReport report = buildPipeline("autodiff,fusion").run(ctx, {});
     EXPECT_TRUE(report.aborted);
     EXPECT_FALSE(report.ok());
     ASSERT_EQ(report.stages.size(), 1u);
@@ -403,7 +404,7 @@ TEST(PostconditionsDeathTest, RunPanicsOnStaticallyIllegalPipeline)
         ctx.wrt.push_back(val);
 
     const PassManager pm = buildPipeline("recompute,autodiff");
-    EXPECT_DEATH(pm.run(ctx), "contract violation");
+    EXPECT_DEATH(pm.run(ctx, {}), "contract violation");
 }
 
 TEST(Postconditions, CleanPipelineReportsCheckersRun)

@@ -2,8 +2,8 @@
  * @file
  * Tests for the RNN library: numerical equivalence of the three
  * backends (the paper's correctness requirement — "almost completely
- * overlapping training curves"), kernel-count profiles, GRU cells, and
- * SequenceReverse.
+ * overlapping training curves"), kernel-count profiles, the unfused
+ * cell against a manual reference, and SequenceReverse.
  */
 #include <gtest/gtest.h>
 
@@ -14,7 +14,7 @@
 #include "graph/executor.h"
 #include "graph/ops/oplib.h"
 #include "gpusim/timeline.h"
-#include "rnn/gru_stack.h"
+#include "rnn/lstm_cell.h"
 #include "rnn/sequence_reverse.h"
 #include "rnn/stack.h"
 
@@ -224,97 +224,6 @@ TEST(LstmCell, SingleStepMatchesManualMath)
     EXPECT_NEAR(out[0].at(0, 0), h_ref, 1e-5);
 }
 
-TEST(GruCell, GatesBoundOutput)
-{
-    // GRU output is a convex-ish mix of candidate and previous state;
-    // with tanh candidate, |h| stays within [-1, 1] + |h_prev|.
-    Graph g;
-    const int64_t b = 4, h = 8, i = 6;
-    Val x = g.placeholder(Shape({b, i}), "x");
-    Val h0 = g.placeholder(Shape({b, h}), "h0");
-    GruWeights w = makeGruWeights(g, i, h, "gru");
-    Val h1 = buildGruCell(g, x, h0, w);
-
-    Rng rng(9);
-    FeedDict feed;
-    feed[x.node] = Tensor::uniform(Shape({b, i}), rng, -2.0f, 2.0f);
-    feed[h0.node] = Tensor::uniform(Shape({b, h}), rng, -1.0f, 1.0f);
-    feed[w.wx.node] =
-        Tensor::uniform(Shape({3 * h, i}), rng, -0.5f, 0.5f);
-    feed[w.wh.node] =
-        Tensor::uniform(Shape({3 * h, h}), rng, -0.5f, 0.5f);
-    feed[w.bias.node] =
-        Tensor::uniform(Shape({3 * h}), rng, -0.1f, 0.1f);
-
-    graph::Executor ex({h1});
-    const auto out = ex.run(feed);
-    EXPECT_TRUE(out[0].allFinite());
-    for (int64_t j = 0; j < out[0].numel(); ++j)
-        EXPECT_LE(std::abs(out[0].at(j)), 2.0f);
-}
-
-TEST(GruStack, GradientCheck)
-{
-    Graph g;
-    LstmSpec spec;
-    spec.input_size = 3;
-    spec.hidden = 2;
-    spec.layers = 1;
-    spec.batch = 2;
-    spec.seq_len = 3;
-    Val x = g.placeholder(
-        Shape({spec.seq_len, spec.batch, spec.input_size}), "x");
-    GruStack stack = buildGruStack(g, x, spec, "gru");
-
-    const int64_t numel = spec.seq_len * spec.batch * spec.hidden;
-    const Val flat =
-        g.apply1(ol::reshape(Shape({1, 1, numel})), {stack.hs});
-    const Val ones = g.apply1(ol::constant(Shape({numel}), 1.0f), {});
-    const Val loss = g.apply1(
-        ol::reshape(Shape({1})),
-        {g.apply1(ol::dotLastAxis(), {flat, ones})});
-
-    const GruWeights &w = stack.weights[0];
-    auto gr = graph::backward(g, loss, {w.wx, w.wh, w.bias});
-
-    Rng rng(11);
-    FeedDict feed;
-    feed[x.node] = Tensor::uniform(
-        Shape({spec.seq_len, spec.batch, spec.input_size}), rng,
-        -0.5f, 0.5f);
-    feed[w.wx.node] = Tensor::uniform(graph::Graph::shapeOf(w.wx),
-                                      rng, -0.4f, 0.4f);
-    feed[w.wh.node] = Tensor::uniform(graph::Graph::shapeOf(w.wh),
-                                      rng, -0.4f, 0.4f);
-    feed[w.bias.node] = Tensor::uniform(graph::Graph::shapeOf(w.bias),
-                                        rng, -0.1f, 0.1f);
-
-    std::vector<Val> fetches = {loss};
-    fetches.insert(fetches.end(), gr.weight_grads.begin(),
-                   gr.weight_grads.end());
-    graph::Executor ex(fetches);
-    const auto analytic = ex.run(feed);
-
-    graph::Executor loss_ex({loss});
-    const double eps = 1e-3;
-    const Val wrt[] = {w.wx, w.wh, w.bias};
-    for (int wi = 0; wi < 3; ++wi) {
-        Tensor &param = feed[wrt[wi].node];
-        for (int64_t j = 0; j < param.numel(); ++j) {
-            const float saved = param.at(j);
-            param.at(j) = saved + static_cast<float>(eps);
-            const double up = loss_ex.run(feed)[0].at(0);
-            param.at(j) = saved - static_cast<float>(eps);
-            const double down = loss_ex.run(feed)[0].at(0);
-            param.at(j) = saved;
-            const double numeric = (up - down) / (2.0 * eps);
-            EXPECT_NEAR(analytic[static_cast<size_t>(wi) + 1].at(j),
-                        numeric,
-                        5e-2 * std::max(1.0, std::abs(numeric)));
-        }
-    }
-}
-
 TEST(SequenceReverse, ParallelAndSequentialAgreeNumerically)
 {
     Graph g;
@@ -347,134 +256,6 @@ TEST(SequenceReverse, ParallelKernelIsOrdersOfMagnitudeFaster)
     const auto rep_s =
         gpusim::simulateRun({rs}, gpusim::GpuSpec::titanXp());
     EXPECT_GT(rep_s.wall_time_us / rep_p.wall_time_us, 50.0);
-}
-
-
-TEST(PeepholeLstm, MatchesManualReference)
-{
-    Graph g;
-    const int64_t b = 2, h = 3, i = 2;
-    Val x = g.placeholder(Shape({b, i}), "x");
-    LstmWeights w = makeLstmWeights(g, i, h, "cell");
-    PeepholeWeights p = makePeepholeWeights(g, h, "cell");
-    CellState prev;
-    prev.h = g.placeholder(Shape({b, h}), "h0");
-    prev.c = g.placeholder(Shape({b, h}), "c0");
-    CellState next = buildPeepholeLstmCell(g, x, prev, w, p);
-
-    Rng rng(13);
-    FeedDict feed;
-    feed[x.node] = Tensor::uniform(Shape({b, i}), rng, -1.0f, 1.0f);
-    feed[w.wx.node] =
-        Tensor::uniform(Shape({4 * h, i}), rng, -0.5f, 0.5f);
-    feed[w.wh.node] =
-        Tensor::uniform(Shape({4 * h, h}), rng, -0.5f, 0.5f);
-    feed[w.bias.node] =
-        Tensor::uniform(Shape({4 * h}), rng, -0.1f, 0.1f);
-    feed[p.p_i.node] = Tensor::uniform(Shape({h}), rng, -0.5f, 0.5f);
-    feed[p.p_f.node] = Tensor::uniform(Shape({h}), rng, -0.5f, 0.5f);
-    feed[p.p_o.node] = Tensor::uniform(Shape({h}), rng, -0.5f, 0.5f);
-    feed[prev.h.node] =
-        Tensor::uniform(Shape({b, h}), rng, -0.5f, 0.5f);
-    feed[prev.c.node] =
-        Tensor::uniform(Shape({b, h}), rng, -0.5f, 0.5f);
-
-    graph::Executor ex({next.h, next.c});
-    const auto out = ex.run(feed);
-
-    auto sigmoid = [](float v) { return 1.0f / (1.0f + std::exp(-v)); };
-    const Tensor &xt = feed[x.node];
-    const Tensor &wx = feed[w.wx.node];
-    const Tensor &wh = feed[w.wh.node];
-    const Tensor &bias = feed[w.bias.node];
-    const Tensor &h0 = feed[prev.h.node];
-    const Tensor &c0 = feed[prev.c.node];
-    for (int64_t r = 0; r < b; ++r)
-        for (int64_t j = 0; j < h; ++j) {
-            float gates[4];
-            for (int gate = 0; gate < 4; ++gate) {
-                double acc = bias.at(gate * h + j);
-                for (int64_t k = 0; k < i; ++k)
-                    acc += xt.at(r, k) * wx.at(gate * h + j, k);
-                for (int64_t k = 0; k < h; ++k)
-                    acc += h0.at(r, k) * wh.at(gate * h + j, k);
-                gates[gate] = static_cast<float>(acc);
-            }
-            const float gi = sigmoid(
-                gates[0] + feed[p.p_i.node].at(j) * c0.at(r, j));
-            const float gf = sigmoid(
-                gates[1] + feed[p.p_f.node].at(j) * c0.at(r, j));
-            const float c_ref =
-                gf * c0.at(r, j) + gi * std::tanh(gates[2]);
-            const float go = sigmoid(
-                gates[3] + feed[p.p_o.node].at(j) * c_ref);
-            const float h_ref = go * std::tanh(c_ref);
-            EXPECT_NEAR(out[1].at(r, j), c_ref, 1e-5);
-            EXPECT_NEAR(out[0].at(r, j), h_ref, 1e-5);
-        }
-}
-
-TEST(PeepholeLstm, GradientCheck)
-{
-    Graph g;
-    const int64_t b = 2, h = 2, i = 2;
-    Val x = g.placeholder(Shape({b, i}), "x");
-    LstmWeights w = makeLstmWeights(g, i, h, "cell");
-    PeepholeWeights p = makePeepholeWeights(g, h, "cell");
-    CellState prev;
-    prev.h = g.placeholder(Shape({b, h}), "h0");
-    prev.c = g.placeholder(Shape({b, h}), "c0");
-    CellState next = buildPeepholeLstmCell(g, x, prev, w, p);
-
-    const Val flat =
-        g.apply1(ol::reshape(Shape({1, 1, b * h})), {next.h});
-    const Val ones =
-        g.apply1(ol::constant(Shape({b * h}), 1.0f), {});
-    const Val loss = g.apply1(
-        ol::reshape(Shape({1})),
-        {g.apply1(ol::dotLastAxis(), {flat, ones})});
-    auto gr = graph::backward(g, loss, {p.p_i, p.p_f, p.p_o, w.wx});
-
-    Rng rng(15);
-    FeedDict feed;
-    feed[x.node] = Tensor::uniform(Shape({b, i}), rng, -0.5f, 0.5f);
-    feed[w.wx.node] =
-        Tensor::uniform(Shape({4 * h, i}), rng, -0.4f, 0.4f);
-    feed[w.wh.node] =
-        Tensor::uniform(Shape({4 * h, h}), rng, -0.4f, 0.4f);
-    feed[w.bias.node] =
-        Tensor::uniform(Shape({4 * h}), rng, -0.1f, 0.1f);
-    feed[p.p_i.node] = Tensor::uniform(Shape({h}), rng, -0.4f, 0.4f);
-    feed[p.p_f.node] = Tensor::uniform(Shape({h}), rng, -0.4f, 0.4f);
-    feed[p.p_o.node] = Tensor::uniform(Shape({h}), rng, -0.4f, 0.4f);
-    feed[prev.h.node] =
-        Tensor::uniform(Shape({b, h}), rng, -0.4f, 0.4f);
-    feed[prev.c.node] =
-        Tensor::uniform(Shape({b, h}), rng, -0.4f, 0.4f);
-
-    std::vector<Val> fetches = {loss};
-    fetches.insert(fetches.end(), gr.weight_grads.begin(),
-                   gr.weight_grads.end());
-    graph::Executor ex(fetches);
-    const auto analytic = ex.run(feed);
-    graph::Executor loss_ex({loss});
-    const Val wrt[] = {p.p_i, p.p_f, p.p_o, w.wx};
-    const double eps = 1e-3;
-    for (int wi = 0; wi < 4; ++wi) {
-        Tensor &param = feed[wrt[wi].node];
-        for (int64_t j = 0; j < param.numel(); ++j) {
-            const float saved = param.at(j);
-            param.at(j) = saved + static_cast<float>(eps);
-            const double up = loss_ex.run(feed)[0].at(0);
-            param.at(j) = saved - static_cast<float>(eps);
-            const double down = loss_ex.run(feed)[0].at(0);
-            param.at(j) = saved;
-            const double numeric = (up - down) / (2.0 * eps);
-            EXPECT_NEAR(analytic[static_cast<size_t>(wi) + 1].at(j),
-                        numeric,
-                        5e-2 * std::max(1.0, std::abs(numeric)));
-        }
-    }
 }
 
 TEST(BackendNames, Printable)

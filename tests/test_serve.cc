@@ -498,8 +498,6 @@ TEST(RequestQueue, BatchTierShedsAtTheAdmitLine)
 
 TEST(RequestQueue, TierAndNewRejectReasonNamesAreStable)
 {
-    EXPECT_STREQ(tierName(Tier::kInteractive), "interactive");
-    EXPECT_STREQ(tierName(Tier::kBatch), "batch");
     EXPECT_STREQ(rejectReasonName(RejectReason::kOverloaded),
                  "overloaded");
     EXPECT_STREQ(rejectReasonName(RejectReason::kBadModel),

@@ -183,7 +183,6 @@ TEST(Elementwise, AddSubMul)
     EXPECT_FLOAT_EQ(ops::add(a, b).at(1), 7.0f);
     EXPECT_FLOAT_EQ(ops::sub(a, b).at(1), -3.0f);
     EXPECT_FLOAT_EQ(ops::mul(a, b).at(1), 10.0f);
-    EXPECT_FLOAT_EQ(ops::axpy(a, b, 2.0f).at(2), 15.0f);
 }
 
 TEST(Elementwise, Activations)
@@ -194,7 +193,6 @@ TEST(Elementwise, Activations)
                 1e-6);
     EXPECT_FLOAT_EQ(ops::relu(x).at(0), 0.0f);
     EXPECT_FLOAT_EQ(ops::relu(x).at(2), 1.0f);
-    EXPECT_FLOAT_EQ(ops::square(x).at(0), 1.0f);
     EXPECT_FLOAT_EQ(ops::negate(x).at(2), -1.0f);
 }
 
@@ -544,12 +542,18 @@ TEST(NN, SoftmaxIsShiftInvariantAndStable)
 
 TEST(NN, LogSoftmaxMatchesLogOfSoftmax)
 {
+    // crossEntropy's inline per-row log-softmax, read at each label,
+    // matches the log of softmaxLastAxis.
     Rng rng(43);
     Tensor x = Tensor::uniform(Shape({2, 5}), rng, -3.0f, 3.0f);
-    Tensor ls = ops::logSoftmaxLastAxis(x);
     Tensor s = ops::softmaxLastAxis(x);
-    for (int64_t i = 0; i < x.numel(); ++i)
-        EXPECT_NEAR(ls.at(i), std::log(s.at(i)), 1e-5);
+    for (int64_t r = 0; r < 2; ++r)
+        for (int64_t j = 0; j < 5; ++j) {
+            Tensor labels(Shape({2}), -1.0f);
+            labels.at(r) = static_cast<float>(j);
+            EXPECT_NEAR(-ops::crossEntropy(x, labels).at(0),
+                        std::log(s.at(r, j)), 1e-5);
+        }
 }
 
 TEST(NN, CrossEntropyUniformLogitsIsLogV)
@@ -611,7 +615,7 @@ TEST(NN, EmbeddingLookupAndGrad)
     EXPECT_FLOAT_EQ(y.at(1, 0, 1), 11.0f);
 
     Tensor dy = Tensor::full(Shape({2, 2, 2}), 1.0f);
-    Tensor dt = ops::embeddingGrad(table, ids, dy);
+    Tensor dt = ops::embeddingGrad(table.shape(), ids, dy);
     // Token 2 appears twice -> each of its columns accumulates 2.
     EXPECT_FLOAT_EQ(dt.at(2, 0), 2.0f);
     EXPECT_FLOAT_EQ(dt.at(0, 0), 1.0f);
@@ -689,7 +693,7 @@ TEST(Elementwise, BitIdenticalAcrossThreadCounts)
         r.push_back(ops::softmaxLastAxis(x));
         r.push_back(ops::layerNormLastAxis(x));
         r.push_back(ops::sumToBias(x, cols));
-        r.push_back(ops::embeddingGrad(table, ids, x));
+        r.push_back(ops::embeddingGrad(table.shape(), ids, x));
         return r;
     };
     ThreadPool::setGlobalNumThreads(1);

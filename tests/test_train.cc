@@ -433,11 +433,6 @@ TEST(Trainer, TrainingStepBitIdenticalAcrossThreadCounts)
     }
 }
 
-TEST(Trainer, SpeedometerMatchesDefinition)
-{
-    EXPECT_NEAR(speedometer(128, 0.5), 256.0, 1e-9);
-}
-
 TEST(Simulation, ProfileBundlesRuntimeMemoryPower)
 {
     models::WordLmConfig cfg;

@@ -13,7 +13,10 @@
  *    (no escaping interior value) and share the sink's phase;
  *  - values: on deterministic pseudo-random inputs, replaying the
  *    ORIGINAL ops node-by-node over the intact orphaned members is
- *    byte-identical to one fused forward() call.
+ *    byte-identical to one fused forward() call.  Groups with equal
+ *    replay keys (re-derived program, scalar bits, frontier shapes and
+ *    op types; the same cell at another time step) share one replay,
+ *    of the first such group.
  */
 #ifndef ECHO_ANALYSIS_FUSION_AUDIT_H
 #define ECHO_ANALYSIS_FUSION_AUDIT_H

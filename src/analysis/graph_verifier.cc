@@ -1,8 +1,6 @@
 #include "analysis/graph_verifier.h"
 
 #include <sstream>
-#include <unordered_map>
-#include <unordered_set>
 
 namespace echo::analysis {
 
@@ -19,8 +17,7 @@ using graph::Val;
  * dereference the broken edge).
  */
 bool
-checkEdges(const Node *n,
-           const std::unordered_set<const Node *> &universe,
+checkEdges(const Node *n, const graph::NodeIndex &universe,
            bool allow_external, AnalysisReport &report)
 {
     bool ok = true;
@@ -34,7 +31,7 @@ checkEdges(const Node *n,
             ok = false;
             continue;
         }
-        if (!universe.count(v.node) && !allow_external) {
+        if (universe.find(v.node) < 0 && !allow_external) {
             report.add(Check::kDanglingEdge, Severity::kError,
                        "input " + std::to_string(i) +
                            " refers to a node outside the graph",
@@ -147,40 +144,41 @@ checkPhases(const Node *n, AnalysisReport &report)
  */
 void
 checkAcyclic(const std::vector<Node *> &nodes,
-             const std::unordered_set<const Node *> &universe,
-             AnalysisReport &report)
+             const graph::NodeIndex &universe, AnalysisReport &report)
 {
+    // Colours are indexed by list position, never by a node's own id,
+    // so a malformed id cannot index out of range.
     enum class Color { kWhite, kGrey, kBlack };
-    std::unordered_map<const Node *, Color> color;
-    color.reserve(nodes.size());
-    for (const Node *n : nodes)
-        color[n] = Color::kWhite;
+    std::vector<Color> color(nodes.size(), Color::kWhite);
 
     struct Frame
     {
         const Node *node;
+        int pos;
         size_t next_input;
     };
 
-    for (const Node *root : nodes) {
+    for (size_t root = 0; root < nodes.size(); ++root) {
         if (color[root] != Color::kWhite)
             continue;
-        std::vector<Frame> stack{{root, 0}};
+        const int root_pos = static_cast<int>(root);
+        std::vector<Frame> stack{{nodes[root], root_pos, 0}};
         color[root] = Color::kGrey;
         while (!stack.empty()) {
             Frame &f = stack.back();
             if (f.next_input >= f.node->inputs.size()) {
-                color[f.node] = Color::kBlack;
+                color[static_cast<size_t>(f.pos)] = Color::kBlack;
                 stack.pop_back();
                 continue;
             }
             const Val &v = f.node->inputs[f.next_input++];
-            if (v.node == nullptr || !universe.count(v.node))
+            const int pos = universe.find(v.node);
+            if (pos < 0)
                 continue; // reported as a dangling edge already
-            Color &c = color[v.node];
+            Color &c = color[static_cast<size_t>(pos)];
             if (c == Color::kWhite) {
                 c = Color::kGrey;
-                stack.push_back({v.node, 0});
+                stack.push_back({v.node, pos, 0});
             } else if (c == Color::kGrey) {
                 // Found a back edge; the grey suffix of the stack from
                 // v.node onward is the cycle.
@@ -210,11 +208,11 @@ AnalysisReport
 verifyNodes(const std::vector<Node *> &nodes, bool allow_external_producers)
 {
     AnalysisReport report;
-    std::unordered_set<const Node *> universe(nodes.begin(), nodes.end());
+    const graph::NodeIndex universe(nodes);
 
-    std::unordered_set<int> seen_ids;
-    for (const Node *n : nodes) {
-        if (!seen_ids.insert(n->id).second)
+    for (size_t i = 0; i < nodes.size(); ++i) {
+        const Node *n = nodes[i];
+        if (universe.firstWithId(n) != static_cast<int>(i))
             report.add(Check::kMalformedNode, Severity::kError,
                        "duplicate node id", {NodeRef::of(n)});
         checkNodeWellFormed(n, report);

@@ -26,6 +26,28 @@ rotl(uint64_t x, int k)
     return (x << k) | (x >> (64 - k));
 }
 
+/** One xoshiro256** step over the state @p s. */
+uint64_t
+xoshiroNext(uint64_t (&s)[4])
+{
+    const uint64_t result = rotl(s[1] * 5, 7) * 9;
+    const uint64_t t = s[1] << 17;
+    s[2] ^= s[0];
+    s[3] ^= s[1];
+    s[1] ^= s[2];
+    s[0] ^= s[3];
+    s[2] ^= t;
+    s[3] = rotl(s[3], 45);
+    return result;
+}
+
+/** Uniform double in [0, 1) from 53 random mantissa bits. */
+double
+unitInterval(uint64_t bits)
+{
+    return static_cast<double>(bits >> 11) * 0x1.0p-53;
+}
+
 } // namespace
 
 Rng::Rng(uint64_t seed)
@@ -38,28 +60,31 @@ Rng::Rng(uint64_t seed)
 uint64_t
 Rng::next()
 {
-    const uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    const uint64_t t = s_[1] << 17;
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-    return result;
+    return xoshiroNext(s_);
 }
 
 double
 Rng::uniform()
 {
-    // 53 random mantissa bits.
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
+    return unitInterval(next());
 }
 
 double
 Rng::uniform(double lo, double hi)
 {
     return lo + (hi - lo) * uniform();
+}
+
+void
+Rng::fillUniform(float *out, int64_t n, double lo, double hi)
+{
+    // uniform(lo, hi) per element, on a local copy of the state the
+    // compiler keeps in registers.
+    uint64_t s[4] = {s_[0], s_[1], s_[2], s_[3]};
+    for (int64_t i = 0; i < n; ++i)
+        out[i] = static_cast<float>(lo + (hi - lo) *
+                                             unitInterval(xoshiroNext(s)));
+    std::copy(s, s + 4, s_);
 }
 
 uint64_t

@@ -31,6 +31,10 @@ class Rng
     /** Uniform double in [lo, hi). */
     double uniform(double lo, double hi);
 
+    /** Fill @p out[0..n) with float(uniform(lo, hi)) draws: the same
+     *  stream and arithmetic as n calls, in one loop over local state. */
+    void fillUniform(float *out, int64_t n, double lo, double hi);
+
     /** Uniform integer in [0, n). @pre n > 0 */
     uint64_t uniformInt(uint64_t n);
 

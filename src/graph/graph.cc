@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <unordered_set>
 
 #include "core/logging.h"
 
@@ -225,30 +226,125 @@ Graph::toDot() const
     return oss.str();
 }
 
+namespace {
+
+/** Ids at or above this are never array indices (a malformed id must
+ *  not size an allocation); such nodes take the pointer-map path. */
+constexpr int kMaxDenseId = 1 << 22;
+
+/** Array size that covers every id in @p nodes' well-formed range. */
+size_t
+denseIdRange(const std::vector<Node *> &nodes)
+{
+    int max_id = -1;
+    for (const Node *n : nodes)
+        if (n->id < kMaxDenseId)
+            max_id = std::max(max_id, n->id);
+    return static_cast<size_t>(max_id + 1);
+}
+
+bool
+inDenseRange(int id, size_t range)
+{
+    return id >= 0 && static_cast<size_t>(id) < range;
+}
+
+} // namespace
+
 std::vector<Node *>
 reachableNodes(const std::vector<Val> &fetches)
 {
-    std::vector<Node *> stack;
-    std::vector<Node *> found;
-    std::unordered_map<const Node *, bool> seen;
+    // Ids are creation positions and inputs precede their consumers, so
+    // in a well-formed graph the fetches' largest id bounds the closure
+    // and a flat array indexed by id marks what was seen.  Nodes the
+    // array cannot hold (see NodeIndex) are tracked by pointer.
+    std::vector<Node *> roots;
     for (const Val &v : fetches)
-        if (v.defined() && !seen[v.node]) {
-            seen[v.node] = true;
-            stack.push_back(v.node);
+        if (v.defined())
+            roots.push_back(v.node);
+    std::vector<Node *> by_id(denseIdRange(roots), nullptr);
+    std::unordered_set<Node *> strays;
+    std::vector<Node *> stack;
+    const auto visit = [&](Node *n) {
+        if (n == nullptr)
+            return; // an undefined input: the verifier reports it
+        if (inDenseRange(n->id, by_id.size())) {
+            Node *&slot = by_id[static_cast<size_t>(n->id)];
+            if (slot == n)
+                return;
+            if (slot == nullptr) {
+                slot = n;
+                stack.push_back(n);
+                return;
+            }
         }
+        if (strays.insert(n).second)
+            stack.push_back(n);
+    };
+    for (Node *n : roots)
+        visit(n);
     while (!stack.empty()) {
         Node *n = stack.back();
         stack.pop_back();
-        found.push_back(n);
         for (const Val &v : n->inputs)
-            if (!seen[v.node]) {
-                seen[v.node] = true;
-                stack.push_back(v.node);
-            }
+            visit(v.node);
     }
-    std::sort(found.begin(), found.end(),
-              [](const Node *a, const Node *b) { return a->id < b->id; });
+
+    // The array is already in id order.
+    std::vector<Node *> found;
+    for (Node *n : by_id)
+        if (n != nullptr)
+            found.push_back(n);
+    if (!strays.empty()) {
+        found.insert(found.end(), strays.begin(), strays.end());
+        std::stable_sort(
+            found.begin(), found.end(),
+            [](const Node *a, const Node *b) { return a->id < b->id; });
+    }
     return found;
+}
+
+NodeIndex::NodeIndex(const std::vector<Node *> &nodes)
+    : by_id_(denseIdRange(nodes), {nullptr, -1})
+{
+    for (size_t i = 0; i < nodes.size(); ++i) {
+        const Node *n = nodes[i];
+        const int pos = static_cast<int>(i);
+        if (inDenseRange(n->id, by_id_.size())) {
+            auto &slot = by_id_[static_cast<size_t>(n->id)];
+            if (slot.first == nullptr) {
+                slot = {n, pos};
+                continue;
+            }
+            if (slot.first == n)
+                continue;
+        } else {
+            stray_ids_.emplace(n->id, pos);
+        }
+        strays_.emplace(n, pos);
+    }
+}
+
+int
+NodeIndex::find(const Node *n) const
+{
+    if (n != nullptr && inDenseRange(n->id, by_id_.size())) {
+        const auto &slot = by_id_[static_cast<size_t>(n->id)];
+        if (slot.first == n)
+            return slot.second;
+    }
+    if (strays_.empty())
+        return -1;
+    const auto it = strays_.find(n);
+    return it == strays_.end() ? -1 : it->second;
+}
+
+int
+NodeIndex::firstWithId(const Node *n) const
+{
+    if (inDenseRange(n->id, by_id_.size()))
+        return by_id_[static_cast<size_t>(n->id)].second;
+    return stray_ids_.at(n->id);
 }
 
 } // namespace echo::graph

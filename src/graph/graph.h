@@ -18,6 +18,7 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "graph/op.h"
@@ -158,9 +159,36 @@ class TagScope
 
 /**
  * Nodes reachable from @p fetches (inputs included), in topological
- * (creation-id) order.
+ * (creation-id) order.  Distinct nodes that share an id (a malformed
+ * graph) are all returned, so the verifier can name the duplicate.
  */
 std::vector<Node *> reachableNodes(const std::vector<Val> &fetches);
+
+/**
+ * Position of each node of a list, looked up through a flat array
+ * indexed by Node::id instead of a pointer hash.  A node whose id is
+ * negative, out of the array's range, or already held by an earlier
+ * node of the list (malformed graphs) is kept in a pointer map, so
+ * every node of the list is found whatever its id.
+ */
+class NodeIndex
+{
+  public:
+    explicit NodeIndex(const std::vector<Node *> &nodes);
+
+    /** Position of @p n in the list, or -1 when it is not there. */
+    int find(const Node *n) const;
+
+    /** Position of the first node in the list with @p n's id (earlier
+     *  than find(n) when the id is shared). @pre find(n) >= 0 */
+    int firstWithId(const Node *n) const;
+
+  private:
+    std::vector<std::pair<const Node *, int>> by_id_;
+    std::unordered_map<const Node *, int> strays_;
+    /** First position of each id outside by_id_'s range. */
+    std::unordered_map<int, int> stray_ids_;
+};
 
 } // namespace echo::graph
 

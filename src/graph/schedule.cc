@@ -1,7 +1,6 @@
 #include "graph/schedule.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "core/logging.h"
 
@@ -30,43 +29,53 @@ struct ScheduleKey
     }
 };
 
-} // namespace
-
-std::vector<Node *>
-buildSchedule(const std::vector<Val> &fetches)
+/** buildSchedule's order plus the position index its sanity check
+ *  builds, which buildTopology reuses as the slot of each node. */
+struct IndexedSchedule
 {
-    std::vector<Node *> nodes = reachableNodes(fetches);
+    std::vector<Node *> order;
+    NodeIndex slot_of;
+};
 
-    // Consumers of each node, needed to anchor recompute nodes.
-    std::unordered_map<const Node *, std::vector<Node *>> consumers;
-    for (Node *n : nodes)
-        for (const Val &v : n->inputs)
-            consumers[v.node].push_back(n);
+IndexedSchedule
+buildIndexedSchedule(const std::vector<Val> &fetches)
+{
+    const std::vector<Node *> nodes = reachableNodes(fetches);
+    const NodeIndex pos_of(nodes);
 
     // anchor(n) for a recompute node = the id of the earliest
-    // non-recompute node that (transitively) consumes it.  Recompute
-    // chains have increasing ids, so a reverse-id sweep sees consumers
-    // before producers.
-    std::unordered_map<const Node *, int> anchor;
-    for (auto it = nodes.rbegin(); it != nodes.rend(); ++it) {
-        Node *n = *it;
-        if (n->phase != Phase::kRecompute)
-            continue;
-        int a = n->id; // fallback for dead recompute nodes
-        bool first = true;
-        for (Node *c : consumers[n]) {
-            const int ca = c->phase == Phase::kRecompute
-                               ? anchor.at(c)
-                               : c->id;
-            a = first ? ca : std::min(a, ca);
-            first = false;
+    // non-recompute node that (transitively) consumes it.  Each
+    // consumer pushes its anchor to its recompute inputs: first every
+    // non-recompute node its own id, then the recompute nodes in
+    // reverse id order — recompute chains have increasing ids, so a
+    // recompute node's consumers have all pushed before it does.
+    constexpr int kNoAnchor = -1;
+    std::vector<int> anchor(nodes.size(), kNoAnchor);
+    const auto push = [&](const Node *c, int ca) {
+        for (const Val &v : c->inputs) {
+            if (v.node->phase != Phase::kRecompute)
+                continue;
+            int &a = anchor[static_cast<size_t>(pos_of.find(v.node))];
+            a = a == kNoAnchor ? ca : std::min(a, ca);
         }
-        anchor[n] = a;
+    };
+    for (const Node *c : nodes)
+        if (c->phase != Phase::kRecompute)
+            push(c, c->id);
+    for (size_t i = nodes.size(); i-- > 0;) {
+        if (nodes[i]->phase != Phase::kRecompute)
+            continue;
+        // No consumer: a dead (fetched) recompute node anchors at
+        // itself.
+        if (anchor[i] == kNoAnchor)
+            anchor[i] = nodes[i]->id;
+        push(nodes[i], anchor[i]);
     }
 
     std::vector<std::pair<ScheduleKey, Node *>> keyed;
     keyed.reserve(nodes.size());
-    for (Node *n : nodes) {
+    for (size_t i = 0; i < nodes.size(); ++i) {
+        Node *n = nodes[i];
         ScheduleKey k;
         k.id = n->id;
         switch (n->phase) {
@@ -82,7 +91,7 @@ buildSchedule(const std::vector<Val> &fetches)
             break;
           case Phase::kRecompute:
             k.group = 1;
-            k.anchor = anchor.at(n);
+            k.anchor = anchor[i];
             k.sub = 0;
             break;
         }
@@ -99,31 +108,35 @@ buildSchedule(const std::vector<Val> &fetches)
         order.push_back(n);
 
     // Sanity: the result must still be topological.
-    std::unordered_map<const Node *, size_t> pos;
-    for (size_t i = 0; i < order.size(); ++i)
-        pos[order[i]] = i;
-    for (Node *n : order)
-        for (const Val &v : n->inputs)
-            ECHO_CHECK(pos.at(v.node) < pos.at(n),
+    NodeIndex slot_of(order);
+    for (size_t i = 0; i < order.size(); ++i) {
+        const Node *n = order[i];
+        for (const Val &v : n->inputs) {
+            const int p = slot_of.find(v.node);
+            ECHO_CHECK(p >= 0 && static_cast<size_t>(p) < i,
                        "schedule broke topological order at node #",
                        n->id, " (", n->name, ")");
-    return order;
+        }
+    }
+    return {std::move(order), std::move(slot_of)};
+}
+
+} // namespace
+
+std::vector<Node *>
+buildSchedule(const std::vector<Val> &fetches)
+{
+    return buildIndexedSchedule(fetches).order;
 }
 
 SlotTopology
 buildTopology(const std::vector<Val> &fetches)
 {
     SlotTopology topo;
-    topo.schedule = buildSchedule(fetches);
+    IndexedSchedule indexed = buildIndexedSchedule(fetches);
+    topo.schedule = std::move(indexed.order);
+    const NodeIndex &slot_of = indexed.slot_of;
     const size_t n = topo.schedule.size();
-    std::unordered_map<const Node *, int> slot_of;
-    slot_of.reserve(n);
-    for (size_t s = 0; s < n; ++s)
-        slot_of[topo.schedule[s]] = static_cast<int>(s);
-    const auto slot = [&](const Node *node) {
-        auto it = slot_of.find(node);
-        return it == slot_of.end() ? -1 : it->second;
-    };
 
     topo.input_slots.assign(n, {});
     topo.in_degree.assign(n, 0);
@@ -132,7 +145,7 @@ buildTopology(const std::vector<Val> &fetches)
         const Node *node = topo.schedule[s];
         topo.input_slots[s].reserve(node->inputs.size());
         for (const Val &v : node->inputs) {
-            const int producer = slot(v.node);
+            const int producer = slot_of.find(v.node);
             topo.input_slots[s].push_back(producer);
             if (producer >= 0)
                 ++topo.use_counts[static_cast<size_t>(producer)];
@@ -141,7 +154,7 @@ buildTopology(const std::vector<Val> &fetches)
     }
     topo.fetch_slots.reserve(fetches.size());
     for (const Val &v : fetches) {
-        const int s = slot(v.node);
+        const int s = slot_of.find(v.node);
         topo.fetch_slots.push_back(s);
         if (s >= 0)
             ++topo.use_counts[static_cast<size_t>(s)];

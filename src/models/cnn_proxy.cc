@@ -44,9 +44,14 @@ CnnModel::CnnModel(const CnnConfig &config)
             const int stride = block == 0 ? 2 : 1;
             const int64_t out_ch =
                 block == 0 ? channels * 2 : channels;
-            x = conv(x, out_ch, stride,
-                     "s" + std::to_string(stage) + ".b" +
-                         std::to_string(block) + ".conv");
+            // Appended piecewise: GCC 12 warns (-Wrestrict, a false
+            // positive) on a literal + std::string temporary here.
+            std::string name = "s";
+            name += std::to_string(stage);
+            name += ".b";
+            name += std::to_string(block);
+            name += ".conv";
+            x = conv(x, out_ch, stride, name);
             channels = out_ch;
         }
     }

@@ -189,7 +189,7 @@ struct NmtDecoder::Graphs
 };
 
 NmtDecoder::NmtDecoder(const NmtConfig &config, int64_t batch,
-                       int64_t src_len)
+                       int64_t src_len, bool with_encoder)
     : config_(config), batch_(batch), src_len_(src_len),
       graphs_(std::make_unique<Graphs>())
 {
@@ -206,7 +206,7 @@ NmtDecoder::NmtDecoder(const NmtConfig &config, int64_t batch,
     const int64_t b = batch_, h = cfg.hidden;
 
     // Encoder graph.
-    {
+    if (with_encoder) {
         Graph &g = *d.enc_g;
         d.enc_src = g.placeholder(Shape({b, src_len_}), "src_tokens");
         const AttentionWeights attn =
@@ -276,6 +276,8 @@ NmtDecoder::~NmtDecoder() = default;
 NmtDecoder::Encoded
 NmtDecoder::encode(const ParamStore &params, const Tensor &src) const
 {
+    ECHO_CHECK(graphs_->enc_exec != nullptr,
+               "NmtDecoder::encode on a decoder built without its encoder");
     ECHO_REQUIRE(src.shape() == Shape({batch_, src_len_}),
                  "NmtDecoder::encode source batch has wrong shape");
     graph::FeedDict feed;

@@ -65,7 +65,11 @@ struct NmtConfig
 class NmtDecoder
 {
   public:
-    NmtDecoder(const NmtConfig &config, int64_t batch, int64_t src_len);
+    /** @p with_encoder false builds only the step graph, for a
+     *  decoder that steps over encodings another decoder made (beam
+     *  search over a tiled greedy encoding); encode() then dies. */
+    NmtDecoder(const NmtConfig &config, int64_t batch, int64_t src_len,
+               bool with_encoder = true);
     ~NmtDecoder();
 
     NmtDecoder(const NmtDecoder &) = delete;

@@ -126,9 +126,12 @@ saveParams(const ParamStore &params, const std::string &path)
             os.write(reinterpret_cast<const char *>(&extent),
                      sizeof(extent));
         }
-        os.write(reinterpret_cast<const char *>(tensor.data()),
-                 static_cast<std::streamsize>(tensor.numel() *
-                                              sizeof(float)));
+        // An empty tensor has no storage to read: write no data bytes,
+        // as loadParams reads none for it.
+        const auto bytes = static_cast<std::streamsize>(tensor.numel() *
+                                                        sizeof(float));
+        if (bytes > 0)
+            os.write(reinterpret_cast<const char *>(tensor.data()), bytes);
     }
     ECHO_REQUIRE(os.good(), "write error on ", path);
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <sstream>
 
 #include "core/logging.h"
@@ -47,11 +48,15 @@ namespace {
 
 /** Schedule-level checkers defer structural errors to graph-verify:
  *  building a schedule over a broken graph panics, so they no-op
- *  unless the fetch closure verifies clean. */
+ *  unless the fetch closure verifies clean.  Within one stage of
+ *  PassManager::run, graph-verify's clean verdict is reused: checkers
+ *  take the context const, so the graph is the one it verified. */
 bool
-fetchesVerifyClean(const std::vector<graph::Val> &fetches)
+fetchesVerifyClean(const PipelineContext &ctx,
+                   const std::vector<graph::Val> &fetches)
 {
-    return !fetches.empty() && analysis::verifyFetches(fetches).ok();
+    return !fetches.empty() &&
+           (ctx.stage_verified || analysis::verifyFetches(fetches).ok());
 }
 
 analysis::AnalysisReport
@@ -67,7 +72,7 @@ analysis::AnalysisReport
 checkLifetime(const PipelineContext &ctx)
 {
     const std::vector<graph::Val> eff = ctx.effectiveFetches();
-    if (!fetchesVerifyClean(eff))
+    if (!fetchesVerifyClean(ctx, eff))
         return {};
     const memory::LivenessResult live =
         memory::analyzeLiveness(eff, ctx.weight_grads);
@@ -79,7 +84,7 @@ analysis::AnalysisReport
 checkHazards(const PipelineContext &ctx)
 {
     const std::vector<graph::Val> eff = ctx.effectiveFetches();
-    if (!fetchesVerifyClean(eff))
+    if (!fetchesVerifyClean(ctx, eff))
         return {};
     return analysis::detectParallelHazards(analysis::buildTopology(eff));
 }
@@ -94,7 +99,7 @@ checkFusionAudit(const PipelineContext &ctx)
         return {};
     }
     const std::vector<graph::Val> eff = ctx.effectiveFetches();
-    if (!fetchesVerifyClean(eff))
+    if (!fetchesVerifyClean(ctx, eff))
         return {};
     return analysis::auditFusion(eff, ctx.fusion);
 }
@@ -107,7 +112,7 @@ checkRecomputeAudit(const PipelineContext &ctx)
         return {};
     }
     const std::vector<graph::Val> eff = ctx.effectiveFetches();
-    if (!fetchesVerifyClean(eff))
+    if (!fetchesVerifyClean(ctx, eff))
         return {};
     analysis::AuditOptions opts;
     opts.expect_gemm_free = ctx.recompute_config.respect_gemm_boundary;
@@ -125,7 +130,7 @@ checkMemoryPlan(const PipelineContext &ctx)
     if (ctx.holds.count(Invariant::kMemoryPlanned) == 0 || !ctx.has_plan)
         return {};
     const std::vector<graph::Val> eff = ctx.effectiveFetches();
-    if (!fetchesVerifyClean(eff))
+    if (!fetchesVerifyClean(ctx, eff))
         return {};
     analysis::AnalysisReport report;
     const memory::LivenessResult live =
@@ -154,7 +159,7 @@ checkPlanFeasible(const PipelineContext &ctx)
         return {};
     }
     const std::vector<graph::Val> eff = ctx.effectiveFetches();
-    if (!fetchesVerifyClean(eff))
+    if (!fetchesVerifyClean(ctx, eff))
         return {};
     analysis::AnalysisReport report;
     const budget::BudgetPlan &bp = ctx.budget_plan;
@@ -470,6 +475,9 @@ PassManager::run(PipelineContext &ctx, const RunOptions &opts) const
             replay_order.emplace_back(entry.name);
     }
 
+    // Only passes change the graph, so each stage's "before" is the
+    // previous stage's "after"; irStats walks each graph once.
+    std::optional<IrStats> carried;
     for (size_t i = 0; i < passes_.size(); ++i) {
         const Pass &pass = *passes_[i];
         StageReport stage;
@@ -482,7 +490,8 @@ PassManager::run(PipelineContext &ctx, const RunOptions &opts) const
             break;
         }
 
-        const IrStats before = irStats(ctx);
+        const IrStats before = carried ? *carried : irStats(ctx);
+        ctx.stage_verified = false;
         {
             obs::Span span;
             if (obs::traceEnabled()) {
@@ -493,6 +502,7 @@ PassManager::run(PipelineContext &ctx, const RunOptions &opts) const
             passes_[i]->run(ctx);
         }
         const IrStats after = irStats(ctx);
+        carried = after;
 
         for (Invariant inv : pass.invalidates())
             ctx.holds.erase(inv);
@@ -538,6 +548,8 @@ PassManager::run(PipelineContext &ctx, const RunOptions &opts) const
             const analysis::AnalysisReport result = (*checker)(ctx);
             stage.checkers_run.push_back(name);
             const bool failed = result.errorCount() > 0;
+            if (*checker == checkGraphVerify && !failed)
+                ctx.stage_verified = true;
             stage.post.merge(result);
             // A failed checker means later checkers (which assume a
             // sane graph) may panic instead of reporting — stop here.
@@ -559,6 +571,8 @@ PassManager::run(PipelineContext &ctx, const RunOptions &opts) const
             break;
         }
     }
+    // The stage-verified memo never outlives this run.
+    ctx.stage_verified = false;
     return report;
 }
 

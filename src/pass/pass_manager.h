@@ -97,6 +97,13 @@ struct PipelineContext
      *  consult it to decide applicability. */
     std::set<Invariant> holds;
 
+    /** True while PassManager::run is replaying one stage's checkers
+     *  and graph-verify has passed on the effective fetches: the other
+     *  checkers of that stage then skip their own verifyFetches.
+     *  Cleared before every pass runs and when run() returns, so a
+     *  checker called outside run() always verifies. */
+    bool stage_verified = false;
+
     /** The fetch set analyses should use: fetches when set, else the
      *  loss closure (pre-autodiff), else empty. */
     std::vector<graph::Val> effectiveFetches() const;

@@ -383,11 +383,14 @@ NmtSession::greedyDecoder(int64_t bucket_idx)
 const models::NmtDecoder &
 NmtSession::beamDecoder(int64_t bucket_idx)
 {
+    // Beam search steps over the greedy decoder's encoding tiled to
+    // the beam rows, so a beam decoder never encodes.
     auto &slot = beam_[static_cast<size_t>(bucket_idx)];
     if (!slot)
         slot = std::make_unique<NmtDecoder>(
             mcfg_, config_.beam_width,
-            config_.buckets[static_cast<size_t>(bucket_idx)]);
+            config_.buckets[static_cast<size_t>(bucket_idx)],
+            /*with_encoder=*/false);
     return *slot;
 }
 

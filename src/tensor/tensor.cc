@@ -52,10 +52,7 @@ Tensor
 Tensor::uniform(Shape shape, Rng &rng, float lo, float hi)
 {
     Tensor t(shape);
-    float *p = t.data();
-    const int64_t n = t.numel();
-    for (int64_t i = 0; i < n; ++i)
-        p[i] = static_cast<float>(rng.uniform(lo, hi));
+    rng.fillUniform(t.data(), t.numel(), lo, hi);
     return t;
 }
 

@@ -14,7 +14,9 @@
  *    default) strictly lowers the planner's pool peak at the
  *    echo-trace word-LM preset,
  *  - analysis::auditFusion is clean on the real model and catches a
- *    tampered fused program and a diverged frontier,
+ *    tampered fused program, a diverged frontier, and a member op that
+ *    lies about its lowering in a group whose class another group
+ *    represents,
  *  - the Echo recompute pass still rewrites and audits cleanly on a
  *    fused graph.
  */
@@ -432,6 +434,85 @@ TEST(Fusion, AuditCleanOnWordLmAndCatchesTampering)
         EXPECT_TRUE(illegal_flagged);
         std::swap(sink->inputs[0], sink->inputs[1]);
     }
+    EXPECT_TRUE(analysis::auditFusion(model.fetches(), r).ok());
+}
+
+/** Lowers exactly like the op it wraps but computes something else:
+ *  only a value replay of its own group can tell. */
+class LyingOp : public graph::Op
+{
+  public:
+    explicit LyingOp(graph::OpPtr inner) : inner_(std::move(inner)) {}
+
+    std::string name() const override { return inner_->name(); }
+    std::vector<Shape>
+    inferShapes(const std::vector<Shape> &in) const override
+    {
+        return inner_->inferShapes(in);
+    }
+    void forward(const std::vector<Tensor> &in,
+                 std::vector<Tensor> &out) const override
+    {
+        inner_->forward(in, out);
+        out[0].data()[0] += 1.0f;
+    }
+    std::vector<Val> buildGradient(graph::GradContext &ctx) const override
+    {
+        return inner_->buildGradient(ctx);
+    }
+    std::vector<graph::EwInstr> elementwiseLowering() const override
+    {
+        return inner_->elementwiseLowering();
+    }
+
+  private:
+    graph::OpPtr inner_;
+};
+
+TEST(Fusion, AuditCatchesLyingOpInNonRepresentativeMember)
+{
+    PassesEnv env(kDefaultPipeline);
+    models::WordLmModel model(smallConfig());
+    const FusionResult &r = model.fusionResult();
+    ASSERT_TRUE(analysis::auditFusion(model.fetches(), r).ok());
+
+    // The last group of a later time step whose program an earlier
+    // group repeats: the audit replays that earlier group for both.
+    const auto signature_of = [&](size_t i) {
+        return static_cast<const graph::oplib::FusedElementwiseOp &>(
+                   *r.groups[i].sink->op)
+            .signature();
+    };
+    size_t target = r.groups.size();
+    for (size_t i = r.groups.size(); i-- > 0;) {
+        if (r.groups[i].sink->time_step <= 0)
+            continue;
+        for (size_t j = 0; j < i && target == r.groups.size(); ++j)
+            if (signature_of(j) == signature_of(i))
+                target = i;
+        if (target != r.groups.size())
+            break;
+    }
+    ASSERT_LT(target, r.groups.size());
+    const FusedGroup &group = r.groups[target];
+    ASSERT_GE(group.members.size(), 2u);
+    graph::Node *member = group.members.front();
+    ASSERT_NE(member, group.sink);
+
+    const graph::OpPtr original = member->op;
+    member->op = std::make_shared<LyingOp>(original);
+    const analysis::AnalysisReport tampered =
+        analysis::auditFusion(model.fetches(), r);
+    member->op = original;
+    EXPECT_FALSE(tampered.ok());
+    const std::string where =
+        "fused group #" + std::to_string(target) + " ";
+    bool mismatch_flagged = false;
+    for (const analysis::Diagnostic &d : tampered.diagnostics)
+        mismatch_flagged |=
+            d.check == analysis::Check::kFusionValueMismatch &&
+            d.message.rfind(where, 0) == 0;
+    EXPECT_TRUE(mismatch_flagged) << tampered.toString();
     EXPECT_TRUE(analysis::auditFusion(model.fetches(), r).ok());
 }
 

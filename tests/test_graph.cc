@@ -115,6 +115,30 @@ TEST(Graph, BuiltGraphsPassStaticVerifier)
     EXPECT_TRUE(analysis::verifyFetches({z}).ok());
 }
 
+TEST(Graph, SharedNodeIdReachesVerifier)
+{
+    // Two distinct reachable nodes with one id: the walk must keep
+    // both, so the verifier can name the duplicate.
+    Graph g;
+    Val x = g.placeholder(Shape({2, 3}), "x");
+    Val a = g.apply1(ol::tanhOp(), {x});
+    Val b = g.apply1(ol::sigmoidOp(), {x});
+    Val c = g.apply1(ol::mul(), {a, b});
+    b.node->id = a.node->id;
+    EXPECT_EQ(reachableNodes({c}).size(), 4u);
+    const analysis::AnalysisReport r = analysis::verifyFetches({c});
+    bool duplicate = false;
+    for (const analysis::Diagnostic &d : r.diagnostics)
+        duplicate = duplicate || d.check == analysis::Check::kMalformedNode;
+    EXPECT_TRUE(duplicate) << r.toString();
+
+    // A negative id is not an index: the walk and the verifier still
+    // see every node.
+    b.node->id = -1;
+    EXPECT_EQ(reachableNodes({c}).size(), 4u);
+    EXPECT_TRUE(analysis::verifyFetches({c}).ok());
+}
+
 TEST(Schedule, RecomputeNodesAnchorBeforeConsumer)
 {
     Graph g;

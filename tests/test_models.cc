@@ -420,6 +420,26 @@ TEST(Serialize, RoundTripPreservesEveryTensorBit)
     }
 }
 
+TEST(Serialize, RoundTripKeepsEmptyTensor)
+{
+    // An empty tensor has no storage: it saves as a header with no
+    // data bytes and loads back with its shape.
+    ParamStore params;
+    params["empty"] = Tensor(Shape({0, 3}));
+    params["w"] = Tensor::full(Shape({2}), 1.5f);
+
+    const std::string path =
+        ::testing::TempDir() + "echo_empty_tensor.ckpt";
+    saveParams(params, path);
+    const ParamStore restored = loadParams(path);
+
+    ASSERT_EQ(restored.size(), 2u);
+    EXPECT_EQ(restored.at("empty").shape(), Shape({0, 3}));
+    EXPECT_EQ(restored.at("empty").numel(), 0);
+    ASSERT_EQ(restored.at("w").shape(), Shape({2}));
+    EXPECT_EQ(restored.at("w").at(1), 1.5f);
+}
+
 TEST(Serialize, TrainedModelRestoresExactLoss)
 {
     WordLmModel model(tinyLmConfig());

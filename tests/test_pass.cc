@@ -349,6 +349,30 @@ TEST(Postconditions, BuggyPassCaughtByGraphVerifier)
     EXPECT_NE(report.toString().find("shape-mismatch"),
               std::string::npos)
         << report.toString();
+    EXPECT_FALSE(ctx.stage_verified);
+}
+
+TEST(Postconditions, StageVerifiedMemoEndsWithTheRun)
+{
+    // graph-verify's clean verdict is shared by the later checkers of
+    // its own stage only: no checker called after run() may trust it.
+    models::WordLmModel model(tinyLmConfig(), "none");
+    PipelineContext ctx(model.graph());
+    ctx.loss = model.loss();
+    for (const auto &[name, val] : model.weights())
+        ctx.wrt.push_back(val);
+    const PipelineReport report =
+        buildPipeline("autodiff,fusion").run(ctx, {});
+    ASSERT_TRUE(report.ok()) << report.toString();
+    EXPECT_FALSE(ctx.stage_verified);
+
+    // Each stage's "before" is the previous stage's "after".
+    ASSERT_EQ(report.stages.size(), 2u);
+    const StageReport &ad = report.stages[0], &fu = report.stages[1];
+    EXPECT_EQ(fu.nodes_before, ad.nodes_after);
+    EXPECT_EQ(fu.reachable_before, ad.reachable_after);
+    EXPECT_EQ(fu.values_before, ad.values_after);
+    EXPECT_EQ(fu.bytes_before, ad.bytes_after);
 }
 
 TEST(PostconditionsDeathTest, RunOrDiePanicsOnBuggyPass)

@@ -84,6 +84,25 @@ TEST(Tensor, CloneIsDeep)
     EXPECT_FLOAT_EQ(t.at(0), 1.0f);
 }
 
+TEST(Tensor, UniformMatchesPerElementRngStream)
+{
+    // Tensor::uniform fills in one loop; it must draw the exact stream
+    // and values of one Rng::uniform(lo, hi) call per element, and
+    // leave the generator where those calls would.
+    for (const float lo : {-2.0f, -0.1f, 0.0f}) {
+        const float hi = lo + 3.25f;
+        Rng fill_rng(0xEC40F5ED), ref_rng(0xEC40F5ED);
+        const Tensor t = Tensor::uniform(Shape({37, 5}), fill_rng, lo, hi);
+        std::vector<float> want(static_cast<size_t>(t.numel()));
+        for (float &v : want)
+            v = static_cast<float>(ref_rng.uniform(lo, hi));
+        EXPECT_EQ(std::memcmp(t.data(), want.data(),
+                              want.size() * sizeof(float)),
+                  0);
+        EXPECT_EQ(fill_rng.next(), ref_rng.next());
+    }
+}
+
 TEST(Tensor, AllFiniteDetectsNan)
 {
     Tensor t = Tensor::zeros(Shape({3}));

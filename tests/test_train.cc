@@ -236,7 +236,10 @@ TEST(Optimizer, StepsMatchReferenceBitForBit)
     ParamStore init;
     Rng rng(7);
     for (size_t i = 0; i < shapes.size(); ++i) {
-        const std::string name = "w" + std::to_string(i);
+        // Not "w" + to_string(i): GCC 12 warns (-Wrestrict, a false
+        // positive) on a literal + std::string temporary.
+        std::string name = "w";
+        name += std::to_string(i);
         weights.emplace_back(name, g.weight(shapes[i], name));
         init[name] = Tensor::gaussian(shapes[i], rng, 0.0f, 0.5f);
     }

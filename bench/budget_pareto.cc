@@ -200,7 +200,7 @@ main(int argc, char **argv)
                 std::to_string(regressions) + " regression(s)");
     if (violations > 0)
         bench::note("ERROR: " + std::to_string(violations) +
-                    " feasible plan(s) failed the pool-peak / timeline "
+                    " feasible plan(s) failed the pool-peak / plan-replay "
                     "cross-check");
     // The full sweep must also show at least one strict DP win; the
     // trimmed --quick sweep only gates on correctness.

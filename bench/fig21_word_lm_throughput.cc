@@ -5,6 +5,7 @@
  * sizes of MXNet's example hyperparameters, for all three backends.
  */
 #include "bench_common.h"
+#include "data/vocab.h"
 #include "models/word_lm.h"
 #include "train/simulation.h"
 
@@ -54,8 +55,9 @@ main()
                  "Eco beats Default everywhere and cuDNN in most "
                  "configurations thanks to the data-layout "
                  "optimization.");
-    runDataset("PTB-scale", 10000, "fig21a_ptb");
-    runDataset("Wikitext-2-scale", 33278, "fig21b_wikitext2");
+    runDataset("PTB-scale", data::Vocab::ptb().size, "fig21a_ptb");
+    runDataset("Wikitext-2-scale", data::Vocab::wikitext2().size,
+               "fig21b_wikitext2");
     bench::note("paper: Eco up to 2x over Default and up to 1.2x over "
                 "cuDNN on the LM task; the few cuDNN wins are within "
                 "20% and the autotuner falls back to cuDNN there.");

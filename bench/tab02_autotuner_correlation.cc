@@ -7,6 +7,7 @@
  * microbenchmark as the selector.
  */
 #include "bench_common.h"
+#include "data/vocab.h"
 #include "core/stats.h"
 #include "layout/autotuner.h"
 #include "models/word_lm.h"
@@ -73,9 +74,9 @@ main()
                  "the backend transparently before training starts.");
 
     const double rho_ptb =
-        runDataset("PTB-scale", 10000, "tab02_ptb");
-    const double rho_wt2 =
-        runDataset("Wikitext-2-scale", 33278, "tab02_wikitext2");
+        runDataset("PTB-scale", data::Vocab::ptb().size, "tab02_ptb");
+    const double rho_wt2 = runDataset(
+        "Wikitext-2-scale", data::Vocab::wikitext2().size, "tab02_wikitext2");
 
     Table table({"dataset", "correlation rho(1/T, throughput)",
                  "paper"});

@@ -5,7 +5,7 @@ namespace echo::analysis {
 AnalysisReport
 analyzeAll(const std::vector<graph::Val> &fetches,
            const std::vector<graph::Val> &weight_grads,
-           const AnalyzeOptions &opts)
+           std::optional<memory::PlannedSchedule> *planned)
 {
     AnalysisReport report = verifyFetches(fetches);
     // A structurally broken graph makes schedule construction panic, so
@@ -13,16 +13,13 @@ analyzeAll(const std::vector<graph::Val> &fetches,
     if (!report.ok())
         return report;
 
-    const memory::LivenessResult live =
-        memory::analyzeLiveness(fetches, weight_grads);
-    if (opts.with_plan) {
-        const memory::MemoryPlan plan = memory::planMemory(live);
-        report.merge(analyzeLifetimes(live, fetches, weight_grads, &plan));
-    } else {
-        report.merge(analyzeLifetimes(live, fetches, weight_grads));
-    }
-    if (opts.parallel_hazards)
-        report.merge(detectParallelHazards(buildTopology(fetches)));
+    memory::PlannedSchedule s =
+        memory::planSchedule(fetches, weight_grads);
+    report.merge(
+        analyzeLifetimes(s.liveness, fetches, weight_grads, &s.plan));
+    report.merge(detectParallelHazards(buildTopology(fetches)));
+    if (planned != nullptr)
+        *planned = std::move(s);
     return report;
 }
 

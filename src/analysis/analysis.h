@@ -14,6 +14,8 @@
 #ifndef ECHO_ANALYSIS_ANALYSIS_H
 #define ECHO_ANALYSIS_ANALYSIS_H
 
+#include <optional>
+
 #include "analysis/fusion_audit.h"
 #include "analysis/graph_verifier.h"
 #include "analysis/hazards.h"
@@ -24,22 +26,19 @@
 
 namespace echo::analysis {
 
-/** What analyzeAll should run. */
-struct AnalyzeOptions
-{
-    /** Replay the memory plan in the lifetime analyzer. */
-    bool with_plan = true;
-    /** Run the ready-queue hazard detector (parallel execution). */
-    bool parallel_hazards = true;
-};
-
 /**
- * Run every applicable analyzer over the subgraph @p fetches reaches.
- * @p weight_grads (gradient values) justify persistent lifetimes.
+ * Run every analyzer over the subgraph @p fetches reaches: the graph
+ * verifier, then, on a graph that verifies, the lifetime analyzer with
+ * the plan replay and the ready-queue hazard detector.  @p weight_grads
+ * (gradient values) justify persistent lifetimes.  When @p planned is
+ * given and the graph verifies, it receives the liveness and memory
+ * plan the analyzers ran on, so a caller's further plan checks need
+ * not re-plan.
  */
-AnalysisReport analyzeAll(const std::vector<graph::Val> &fetches,
-                          const std::vector<graph::Val> &weight_grads = {},
-                          const AnalyzeOptions &opts = {});
+AnalysisReport
+analyzeAll(const std::vector<graph::Val> &fetches,
+           const std::vector<graph::Val> &weight_grads = {},
+           std::optional<memory::PlannedSchedule> *planned = nullptr);
 
 } // namespace echo::analysis
 

@@ -1,7 +1,6 @@
 #include "analysis/lifetime.h"
 
 #include <algorithm>
-#include <map>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -142,84 +141,37 @@ checkLeaks(const LivenessResult &live, const std::vector<Val> &fetches,
     }
 }
 
-/** Replay the plan's allocations in a shadow pool. */
+/** The plan replay's findings as diagnostics. */
 void
 checkPlan(const LivenessResult &live, const MemoryPlan &plan,
           AnalysisReport &report)
 {
-    const size_t steps = live.schedule.size();
-    std::vector<std::vector<const ValueInfo *>> defs(steps);
-    std::vector<std::vector<const ValueInfo *>> frees(steps);
-    for (const ValueInfo &info : live.values) {
-        if (info.persistent)
-            continue;
-        if (info.def_pos < 0 ||
-            static_cast<size_t>(info.def_pos) >= steps ||
-            info.last_use_pos < 0 ||
-            static_cast<size_t>(info.last_use_pos) >= steps)
-            continue; // interval errors reported by checkIntervals
-        defs[static_cast<size_t>(info.def_pos)].push_back(&info);
-        frees[static_cast<size_t>(info.last_use_pos)].push_back(&info);
-    }
-
-    // Active allocations keyed by offset; values are (end, holder).
-    std::map<int64_t, std::pair<int64_t, const ValueInfo *>> active;
-    for (size_t p = 0; p < steps; ++p) {
-        for (const ValueInfo *info : defs[p]) {
-            auto it = plan.offsets.find(info->val);
-            if (it == plan.offsets.end()) {
-                report.add(Check::kPlanMissing, Severity::kError,
-                           "transient has no planned allocation",
-                           {NodeRef::of(info->val.node, info->def_pos)});
-                continue;
-            }
-            const memory::Allocation &a = it->second;
-            if (a.bytes < info->bytes) {
-                report.add(Check::kPlanOverlap, Severity::kError,
-                           "allocation of " + std::to_string(a.bytes) +
-                               " bytes is smaller than the value's " +
-                               std::to_string(info->bytes) + " bytes",
-                           {NodeRef::of(info->val.node, info->def_pos)});
-            }
-            // Overlap with any live allocation is a write into a buffer
-            // somebody else still reads.
-            const int64_t begin = a.offset;
-            const int64_t end = a.offset + a.bytes;
-            auto next = active.lower_bound(begin);
-            if (next != active.begin()) {
-                auto prev = std::prev(next);
-                if (prev->second.first > begin) {
-                    report.add(
-                        Check::kPlanOverlap, Severity::kError,
-                        "planned bytes [" + std::to_string(begin) + ", " +
-                            std::to_string(end) +
-                            ") overlap a live allocation",
-                        {NodeRef::of(prev->second.second->val.node,
-                                     prev->second.second->def_pos),
-                         NodeRef::of(info->val.node, info->def_pos)});
-                    continue;
-                }
-            }
-            if (next != active.end() && next->first < end) {
-                report.add(
-                    Check::kPlanOverlap, Severity::kError,
-                    "planned bytes [" + std::to_string(begin) + ", " +
-                        std::to_string(end) +
-                        ") overlap a live allocation",
-                    {NodeRef::of(next->second.second->val.node,
-                                 next->second.second->def_pos),
-                     NodeRef::of(info->val.node, info->def_pos)});
-                continue;
-            }
-            active[begin] = {end, info};
-        }
-        for (const ValueInfo *info : frees[p]) {
-            auto it = plan.offsets.find(info->val);
-            if (it == plan.offsets.end())
-                continue;
-            auto a = active.find(it->second.offset);
-            if (a != active.end() && a->second.second == info)
-                active.erase(a);
+    using Kind = memory::PlanFinding::Kind;
+    const memory::PlanReplay replay = memory::replayPlan(live, plan);
+    for (const memory::PlanFinding &f : replay.findings) {
+        const NodeRef value =
+            NodeRef::of(f.value->val.node, f.value->def_pos);
+        switch (f.kind) {
+          case Kind::kMissing:
+            report.add(Check::kPlanMissing, Severity::kError,
+                       "transient has no planned allocation", {value});
+            break;
+          case Kind::kUndersized:
+            report.add(Check::kPlanOverlap, Severity::kError,
+                       "allocation of " + std::to_string(f.alloc.bytes) +
+                           " bytes is smaller than the value's " +
+                           std::to_string(f.value->bytes) + " bytes",
+                       {value});
+            break;
+          case Kind::kOverlap:
+            report.add(
+                Check::kPlanOverlap, Severity::kError,
+                "planned bytes [" + std::to_string(f.alloc.offset) +
+                    ", " + std::to_string(f.alloc.offset + f.alloc.bytes) +
+                    ") overlap a live allocation",
+                {NodeRef::of(f.holder->val.node, f.holder->def_pos),
+                 value});
+            break;
         }
     }
 }

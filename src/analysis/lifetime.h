@@ -8,7 +8,8 @@
  * pool planner hands the freed bytes to later values, so a wrong
  * live interval is a use-after-free and an overlapping allocation is a
  * write into somebody else's live buffer.  The analyzer re-walks the
- * schedule with its own use counting and a shadow pool and reports:
+ * schedule with its own use counting, replays the plan against the
+ * live intervals (memory::replayPlan), and reports:
  *
  *  - use-before-def: a consumer scheduled at or before its producer,
  *  - use-after-free: a consumer scheduled after the position where the
@@ -35,7 +36,7 @@ namespace echo::analysis {
  *                     alive to the end.
  * @param weight_grads gradient values (legally persistent).
  * @param plan         when given, its allocations are replayed against
- *                     the live intervals in a shadow pool.
+ *                     the live intervals (memory::replayPlan).
  */
 AnalysisReport
 analyzeLifetimes(const memory::LivenessResult &live,

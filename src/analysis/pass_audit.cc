@@ -4,9 +4,6 @@
 #include <cstdlib>
 #include <set>
 
-#include "memory/liveness.h"
-#include "memory/planner.h"
-
 namespace echo::analysis {
 
 namespace {
@@ -258,29 +255,25 @@ snapshotGraph(const graph::Graph &g, const std::vector<Val> &fetches,
         rec.inputs = n->inputs;
         snap.records.push_back(std::move(rec));
     }
-    const memory::LivenessResult live =
-        memory::analyzeLiveness(fetches, weight_grads);
-    snap.stashed_bytes = stashedBytes(live);
-    snap.planned_peak_bytes = memory::planMemory(live).pool_peak_bytes;
+    const memory::PlannedSchedule s =
+        memory::planSchedule(fetches, weight_grads);
+    snap.stashed_bytes = stashedBytes(s.liveness);
+    snap.planned_peak_bytes = s.plan.pool_peak_bytes;
     return snap;
 }
 
 AnalysisReport
 auditRecomputePass(const GraphSnapshot &snapshot, const graph::Graph &g,
-                   const std::vector<Val> &fetches,
-                   const std::vector<Val> &weight_grads,
+                   const memory::LivenessResult &live,
+                   const memory::MemoryPlan &plan,
                    const pass::PassResult &result,
                    const AuditOptions &opts)
 {
     AnalysisReport report;
     checkDiff(snapshot, g, report);
     checkRecomputeNodes(g, opts, report);
-
-    const memory::LivenessResult live_after =
-        memory::analyzeLiveness(fetches, weight_grads);
-    checkWorkspaceSharing(live_after, opts, report);
-    checkFootprint(snapshot, live_after, memory::planMemory(live_after),
-                   result, opts, report);
+    checkWorkspaceSharing(live, opts, report);
+    checkFootprint(snapshot, live, plan, result, opts, report);
     return report;
 }
 

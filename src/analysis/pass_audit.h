@@ -21,6 +21,7 @@
 
 #include "analysis/report.h"
 #include "echo/recompute_pass.h"
+#include "memory/planner.h"
 
 namespace echo::analysis {
 
@@ -61,11 +62,12 @@ struct AuditOptions
     int64_t footprint_abs_slack = 4096;
 };
 
-/** Audit the pass's rewrite of @p g against @p snapshot. */
+/** Audit the pass's rewrite of @p g against @p snapshot; @p live and
+ *  @p plan are the rewritten graph's liveness and memory plan. */
 AnalysisReport
 auditRecomputePass(const GraphSnapshot &snapshot, const graph::Graph &g,
-                   const std::vector<graph::Val> &fetches,
-                   const std::vector<graph::Val> &weight_grads,
+                   const memory::LivenessResult &live,
+                   const memory::MemoryPlan &plan,
                    const pass::PassResult &result,
                    const AuditOptions &opts = {});
 

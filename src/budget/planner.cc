@@ -5,10 +5,10 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <optional>
 #include <sstream>
 
 #include "core/logging.h"
-#include "memory/liveness.h"
 #include "obs/counters.h"
 #include "obs/trace.h"
 
@@ -48,15 +48,6 @@ class TrialRewrite
     std::vector<std::pair<Node *, std::vector<Val>>> saved_inputs_;
 };
 
-int64_t
-measurePoolPeak(const std::vector<Val> &fetches,
-                const std::vector<Val> &weight_grads)
-{
-    const memory::LivenessResult live =
-        memory::analyzeLiveness(fetches, weight_grads);
-    return memory::planMemory(live).pool_peak_bytes;
-}
-
 /** The largest transients live at @p plan's peak position. */
 std::vector<BindingBuffer>
 bindingBuffersAtPeak(const memory::LivenessResult &live,
@@ -88,32 +79,33 @@ bindingBuffersAtPeak(const memory::LivenessResult &live,
     return binding;
 }
 
-/** Apply @p chosen, measure the real pool peak, and either keep the
- *  rewrite (returns true, fills res/peak) or roll it back. */
-bool
-trialApply(graph::Graph &g, const std::vector<Val> &fetches,
+/** A candidate set applied on trial: the rewrite's report, the
+ *  rewritten graph's plan, and the snapshot that undoes it. */
+struct Trial
+{
+    TrialRewrite rewrite;
+    pass::PassResult result;
+    memory::PlannedSchedule planned;
+
+    int64_t peak() const { return planned.plan.pool_peak_bytes; }
+};
+
+/** Apply @p chosen to @p g and plan the rewritten graph. */
+Trial
+applyTrial(graph::Graph &g, const std::vector<Val> &fetches,
            const std::vector<Val> &weight_grads, const ItemSet &items,
-           const std::vector<int> &chosen, const BudgetConfig &config,
-           bool keep_if_fits, pass::PassResult *res, int64_t *peak)
+           const std::vector<int> &chosen, const BudgetConfig &config)
 {
     std::vector<const pass::Candidate *> accepted;
     accepted.reserve(chosen.size());
     for (int i : chosen)
         accepted.push_back(&items.items[static_cast<size_t>(i)].cand);
 
-    TrialRewrite trial(g);
-    pass::PassResult r;
-    pass::applyRecomputation(g, accepted, items.index,
-                             config.recompute, r);
-    const int64_t measured = measurePoolPeak(fetches, weight_grads);
-    *peak = measured;
-    const bool fits = measured <= config.budget_bytes;
-    if (fits && keep_if_fits) {
-        *res = r;
-        return true;
-    }
-    trial.rollback();
-    return false;
+    Trial trial{TrialRewrite(g), {}, {}};
+    pass::applyRecomputation(g, accepted, items.index, config.recompute,
+                             trial.result);
+    trial.planned = memory::planSchedule(fetches, weight_grads);
+    return trial;
 }
 
 } // namespace
@@ -136,47 +128,50 @@ planWithBudget(graph::Graph &g, const std::vector<Val> &fetches,
                "planWithBudget needs a positive byte budget, got ",
                config.budget_bytes);
 
-    // Record the final (possibly rewritten) plan + its timeline replay.
-    const auto finalize = [&](graph::Graph &graph) {
-        (void)graph;
-        obs::MemoryTimeline timeline;
-        memory::PlannerOptions popts;
-        popts.timeline = &timeline;
-        const memory::LivenessResult live =
-            memory::analyzeLiveness(fetches, weight_grads);
-        const memory::MemoryPlan mem = memory::planMemory(live, popts);
-        plan.planned_pool_peak = mem.pool_peak_bytes;
-        plan.replay = obs::replayTimeline(timeline);
-        plan.replay_ok = plan.replay.ok() &&
-                         plan.replay.address_peak_bytes ==
-                             mem.pool_peak_bytes;
+    // Record the final (possibly rewritten) graph's plan and replay it.
+    const auto finalize = [&plan](const memory::PlannedSchedule &last) {
+        plan.planned_pool_peak = last.plan.pool_peak_bytes;
+        plan.memory_plan = last.plan;
+        const memory::PlanReplay replay =
+            memory::replayPlan(last.liveness, last.plan);
+        plan.replay_ok = replay.ok() && replay.address_peak_bytes ==
+                                            last.plan.pool_peak_bytes;
     };
 
-    plan.baseline_pool_peak = measurePoolPeak(fetches, weight_grads);
+    const memory::PlannedSchedule baseline =
+        memory::planSchedule(fetches, weight_grads);
+    plan.baseline_pool_peak = baseline.plan.pool_peak_bytes;
     if (plan.baseline_pool_peak <= config.budget_bytes) {
         plan.feasible = true;
         plan.tightest_pool_peak = plan.baseline_pool_peak;
         plan.note = "baseline fits without rewriting";
-        finalize(g);
+        finalize(baseline);
         return plan;
     }
 
     const ItemSet items = enumerateItems(fetches, config.recompute);
     plan.num_items = static_cast<int>(items.items.size());
 
-    // Probe: how tight can recomputation squeeze this graph at all?
+    // Probe: how tight can recomputation squeeze this graph at all?  An
+    // unreachable budget reports the tightest plan's binding buffers.
     const SolveResult probe = maxReductionSet(items);
-    int64_t tightest = plan.baseline_pool_peak;
-    if (!probe.chosen.empty()) {
-        pass::PassResult probe_res;
-        trialApply(g, fetches, weight_grads, items, probe.chosen, config,
-                   /*keep_if_fits=*/false, &probe_res, &tightest);
+    {
+        std::optional<Trial> probed;
+        if (!probe.chosen.empty())
+            probed = applyTrial(g, fetches, weight_grads, items,
+                                probe.chosen, config);
+        const memory::PlannedSchedule &tight =
+            probed ? probed->planned : baseline;
+        plan.tightest_pool_peak =
+            std::min(tight.plan.pool_peak_bytes, plan.baseline_pool_peak);
+        if (plan.tightest_pool_peak > config.budget_bytes)
+            plan.binding =
+                bindingBuffersAtPeak(tight.liveness, tight.plan, 8);
+        if (probed)
+            probed->rewrite.rollback();
     }
-    plan.tightest_pool_peak = std::min(tightest, plan.baseline_pool_peak);
 
     if (plan.tightest_pool_peak > config.budget_bytes) {
-        // Unreachable: report the tightest plan's binding buffers.
-        // Re-apply the probe set just to analyze its peak, then undo.
         std::ostringstream note;
         note << "infeasible: tightest achievable pool peak "
              << formatBytes(plan.tightest_pool_peak) << " exceeds budget "
@@ -185,24 +180,8 @@ planWithBudget(graph::Graph &g, const std::vector<Val> &fetches,
                             config.budget_bytes);
         plan.note = note.str();
         plan.solved = probe;
-        {
-            TrialRewrite trial(g);
-            if (!probe.chosen.empty()) {
-                std::vector<const pass::Candidate *> accepted;
-                for (int i : probe.chosen)
-                    accepted.push_back(
-                        &items.items[static_cast<size_t>(i)].cand);
-                pass::PassResult r;
-                pass::applyRecomputation(g, accepted, items.index,
-                                         config.recompute, r);
-            }
-            const memory::LivenessResult live =
-                memory::analyzeLiveness(fetches, weight_grads);
-            const memory::MemoryPlan mem = memory::planMemory(live);
-            plan.binding = bindingBuffersAtPeak(live, mem, 8);
-            trial.rollback();
-        }
-        finalize(g);
+        // Every trial was rolled back: the baseline plan is the final one.
+        finalize(baseline);
         obs::counter("budget.infeasible").add(1);
         return plan;
     }
@@ -215,17 +194,18 @@ planWithBudget(graph::Graph &g, const std::vector<Val> &fetches,
     for (int round = 0; round < config.max_rounds; ++round) {
         plan.rounds = round + 1;
         plan.solved = solve(items, required, config.solver);
-        int64_t measured = 0;
-        if (trialApply(g, fetches, weight_grads, items,
-                       plan.solved.chosen, config, /*keep_if_fits=*/true,
-                       &plan.pass, &measured)) {
+        Trial trial = applyTrial(g, fetches, weight_grads, items,
+                                 plan.solved.chosen, config);
+        const int64_t measured = trial.peak();
+        if (measured <= config.budget_bytes) {
+            plan.pass = trial.result;
             plan.feasible = true;
             plan.applied = true;
             std::ostringstream note;
             note << "solved in " << plan.rounds << " round(s) with "
                  << solverName(config.solver);
             plan.note = note.str();
-            finalize(g);
+            finalize(trial.planned);
             if (obs::traceEnabled())
                 obs::emitEvent('i', "budget", "plan.feasible",
                                {{"pool_peak", plan.planned_pool_peak},
@@ -233,6 +213,7 @@ planWithBudget(graph::Graph &g, const std::vector<Val> &fetches,
                                 {"rounds", plan.rounds}});
             return plan;
         }
+        trial.rewrite.rollback();
         const int64_t overshoot = measured - config.budget_bytes;
         // Raise by at least one alignment quantum so the loop always
         // makes progress even when the model refuses to budge.
@@ -245,21 +226,19 @@ planWithBudget(graph::Graph &g, const std::vector<Val> &fetches,
     }
 
     // The probed maximum-reduction set measured within budget; use it.
-    pass::PassResult res;
-    int64_t measured = 0;
-    const bool ok =
-        trialApply(g, fetches, weight_grads, items, probe.chosen, config,
-                   /*keep_if_fits=*/true, &res, &measured);
-    ECHO_CHECK(ok, "budget planner fallback set no longer fits: ",
-               measured, " > ", config.budget_bytes,
+    const Trial kept =
+        applyTrial(g, fetches, weight_grads, items, probe.chosen, config);
+    ECHO_CHECK(kept.peak() <= config.budget_bytes,
+               "budget planner fallback set no longer fits: ",
+               kept.peak(), " > ", config.budget_bytes,
                " (non-deterministic rewrite?)");
-    plan.pass = res;
+    plan.pass = kept.result;
     plan.solved = probe;
     plan.feasible = true;
     plan.applied = true;
     ++plan.rounds;
     plan.note = "fell back to the maximum-reduction probe set";
-    finalize(g);
+    finalize(kept.planned);
     return plan;
 }
 

@@ -25,8 +25,8 @@
  *     probed set is a known-feasible fallback, so the loop always
  *     terminates with a plan whose *measured* peak fits.
  *
- * Every returned feasible plan carries the planner's pool peak and the
- * independent obs timeline replay of the final plan, so callers (the
+ * Every returned plan carries the final graph's memory plan, its pool
+ * peak and its independent replay (memory::replayPlan), so callers (the
  * `recompute_budget` pass's plan-feasible checker, echo-plan, tests)
  * can cross-check "peak <= budget" without trusting this code.
  */
@@ -38,7 +38,6 @@
 
 #include "budget/solvers.h"
 #include "memory/planner.h"
-#include "obs/memory_timeline.h"
 
 namespace echo::budget {
 
@@ -96,8 +95,11 @@ struct BudgetPlan
     /** Infeasible only: largest transients live at the tightest plan's
      *  peak, descending bytes. */
     std::vector<BindingBuffer> binding;
-    /** Independent timeline replay of the final plan. */
-    obs::TimelineReplay replay;
+    /** The final graph's memory plan (its pool peak is
+     *  planned_pool_peak); replay_ok when replaying it against the
+     *  liveness intervals finds nothing and gives the same address
+     *  peak. */
+    memory::MemoryPlan memory_plan;
     bool replay_ok = false;
     /** Human-readable outcome ("fits without rewriting", "fell back to
      *  probe set", ...). */

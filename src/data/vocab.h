@@ -36,9 +36,6 @@ struct Vocab
     static Vocab ptb() { return Vocab{10000}; }
     /** Wikitext-2-scale vocabulary (33k types, Merity et al.). */
     static Vocab wikitext2() { return Vocab{33278}; }
-    /** IWSLT15 English-Vietnamese-scale vocabularies. */
-    static Vocab iwslt15En() { return Vocab{17191}; }
-    static Vocab iwslt15Vi() { return Vocab{7709}; }
 };
 
 } // namespace echo::data

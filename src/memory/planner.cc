@@ -1,5 +1,6 @@
 #include "memory/planner.h"
 
+#include <algorithm>
 #include <map>
 
 #include "core/logging.h"
@@ -86,8 +87,6 @@ planMemory(const LivenessResult &live, const PlannerOptions &opts)
                         {{"values",
                           static_cast<int64_t>(live.values.size())},
                          {"reuse", opts.reuse_transients ? 1 : 0}});
-    if (opts.timeline != nullptr)
-        opts.timeline->clear();
 
     static obs::Counter &c_allocs = obs::counter("mem.allocs");
     static obs::Counter &c_frees = obs::counter("mem.frees");
@@ -95,21 +94,9 @@ planMemory(const LivenessResult &live, const PlannerOptions &opts)
         obs::counter("mem.bytes_allocated");
     static obs::Counter &c_bytes_freed = obs::counter("mem.bytes_freed");
 
-    /** Record one timeline event (and mirror it into a live trace). */
-    const auto record = [&opts](int pos, bool is_alloc,
+    const auto trace_event = [](int pos, bool is_alloc,
                                 const Allocation &a,
                                 const ValueInfo &info) {
-        if (opts.timeline != nullptr) {
-            obs::MemoryEvent e;
-            e.pos = pos;
-            e.is_alloc = is_alloc;
-            e.offset = a.offset;
-            e.bytes = a.bytes;
-            e.node_id = info.val.node->id;
-            e.out_index = info.val.index;
-            e.name = info.val.node->name;
-            opts.timeline->events.push_back(std::move(e));
-        }
         if (obs::traceEnabled()) {
             obs::emitEvent('i', "mem", is_alloc ? "alloc" : "free",
                            {{"pos", pos},
@@ -153,7 +140,7 @@ planMemory(const LivenessResult &live, const PlannerOptions &opts)
             live_bytes += sz;
             c_allocs.add(1);
             c_bytes_alloc.add(sz);
-            record(static_cast<int>(p), true, a, *info);
+            trace_event(static_cast<int>(p), true, a, *info);
         }
         if (live_bytes > max_live_bytes) {
             max_live_bytes = live_bytes;
@@ -166,13 +153,102 @@ planMemory(const LivenessResult &live, const PlannerOptions &opts)
             live_bytes -= a.bytes;
             c_frees.add(1);
             c_bytes_freed.add(a.bytes);
-            record(static_cast<int>(p), false, a, *info);
+            trace_event(static_cast<int>(p), false, a, *info);
         }
     }
 
     plan.pool_peak_bytes =
         opts.reuse_transients ? pool.top() : no_reuse_top;
     return plan;
+}
+
+PlannedSchedule
+planSchedule(const std::vector<Val> &fetches,
+             const std::vector<Val> &weight_grads)
+{
+    PlannedSchedule s;
+    s.liveness = analyzeLiveness(fetches, weight_grads);
+    s.plan = planMemory(s.liveness);
+    return s;
+}
+
+PlanReplay
+replayPlan(const LivenessResult &live, const MemoryPlan &plan)
+{
+    const size_t steps = live.schedule.size();
+    const auto in_schedule = [steps](int pos) {
+        return pos >= 0 && static_cast<size_t>(pos) < steps;
+    };
+    std::vector<std::vector<const ValueInfo *>> defs(steps);
+    std::vector<std::vector<const ValueInfo *>> frees(steps);
+    for (const ValueInfo &info : live.values) {
+        if (info.persistent || !in_schedule(info.def_pos) ||
+            !in_schedule(info.last_use_pos))
+            continue;
+        defs[static_cast<size_t>(info.def_pos)].push_back(&info);
+        frees[static_cast<size_t>(info.last_use_pos)].push_back(&info);
+    }
+
+    PlanReplay out;
+    // Live allocations keyed by offset -> (end, holder): std::map gives
+    // the neighbours in address order, so an overlap check is one
+    // lower_bound plus a look at the predecessor.
+    std::map<int64_t, std::pair<int64_t, const ValueInfo *>> active;
+    int64_t live_bytes = 0;
+    for (size_t p = 0; p < steps; ++p) {
+        bool touched = false;
+        for (const ValueInfo *info : defs[p]) {
+            auto it = plan.offsets.find(info->val);
+            if (it == plan.offsets.end()) {
+                out.findings.push_back(
+                    {PlanFinding::Kind::kMissing, info, nullptr, {}});
+                continue;
+            }
+            const Allocation &a = it->second;
+            touched = true;
+            live_bytes += a.bytes;
+            if (live_bytes > out.live_peak_bytes) {
+                out.live_peak_bytes = live_bytes;
+                out.peak_pos = static_cast<int>(p);
+            }
+            out.address_peak_bytes =
+                std::max(out.address_peak_bytes, a.offset + a.bytes);
+            if (a.bytes < info->bytes)
+                out.findings.push_back(
+                    {PlanFinding::Kind::kUndersized, info, nullptr, a});
+            // An overlap with a live allocation is a write into a buffer
+            // somebody else still reads; the overlapping one is not
+            // tracked further.
+            const int64_t end = a.offset + a.bytes;
+            auto next = active.lower_bound(a.offset);
+            const ValueInfo *holder = nullptr;
+            if (next != active.begin() &&
+                std::prev(next)->second.first > a.offset)
+                holder = std::prev(next)->second.second;
+            else if (next != active.end() && next->first < end)
+                holder = next->second.second;
+            if (holder != nullptr) {
+                out.findings.push_back(
+                    {PlanFinding::Kind::kOverlap, info, holder, a});
+                continue;
+            }
+            active[a.offset] = {end, info};
+        }
+        const int64_t high_water = live_bytes;
+        for (const ValueInfo *info : frees[p]) {
+            auto it = plan.offsets.find(info->val);
+            if (it == plan.offsets.end())
+                continue;
+            touched = true;
+            live_bytes -= it->second.bytes;
+            auto a = active.find(it->second.offset);
+            if (a != active.end() && a->second.second == info)
+                active.erase(a);
+        }
+        if (touched)
+            out.curve.push_back({static_cast<int>(p), live_bytes, high_water});
+    }
+    return out;
 }
 
 } // namespace echo::memory

@@ -10,6 +10,17 @@
  * O(B·T·H) arena for all steps instead of O(B·T²·H).  The
  * reuse_transients=false mode disables pooling (every transient gets a
  * fresh offset) for the ablation bench.
+ *
+ * replayPlan() checks a plan against the liveness intervals it was
+ * derived from, without trusting the planner's own bookkeeping: it
+ * walks each schedule position's allocations, then its frees, and
+ * reports a transient with no allocation, an undersized allocation, or
+ * planned bytes that overlap a live allocation.  It also yields the
+ * live-footprint curve (the Fig. 5-style per-iteration view that
+ * tools/echo-trace writes) and two peaks: the address peak (max over
+ * allocations of offset + bytes), which equals pool_peak_bytes for a
+ * plan the planner made, and the live peak, the liveness lower bound no
+ * pool layout can beat (live peak <= address peak).
  */
 #ifndef ECHO_MEMORY_PLANNER_H
 #define ECHO_MEMORY_PLANNER_H
@@ -17,7 +28,6 @@
 #include <unordered_map>
 
 #include "memory/liveness.h"
-#include "obs/memory_timeline.h"
 
 namespace echo::memory {
 
@@ -28,12 +38,6 @@ struct PlannerOptions
     int64_t alignment = 256;
     /** When false, transients never share memory (ablation mode). */
     bool reuse_transients = true;
-    /**
-     * When set, every transient allocation/free is recorded here with
-     * its schedule position, so the plan's footprint curve can be
-     * replayed and audited (obs::replayTimeline).  Cleared first.
-     */
-    obs::MemoryTimeline *timeline = nullptr;
 };
 
 /** A planned allocation. */
@@ -59,6 +63,58 @@ struct MemoryPlan
 /** Plan memory for an analyzed schedule. */
 MemoryPlan planMemory(const LivenessResult &live,
                       const PlannerOptions &opts = {});
+
+/** A schedule's liveness analysis and the plan derived from it. */
+struct PlannedSchedule
+{
+    LivenessResult liveness;
+    MemoryPlan plan;
+};
+
+/** analyzeLiveness, then planMemory with the default options. */
+PlannedSchedule planSchedule(const std::vector<Val> &fetches,
+                             const std::vector<Val> &weight_grads);
+
+/** One point of the footprint curve (state after position @p pos). */
+struct FootprintPoint
+{
+    int pos = 0;
+    /** Live transient bytes after the position's frees. */
+    int64_t live_bytes = 0;
+    /** Live bytes after its allocations, before its frees. */
+    int64_t high_water_bytes = 0;
+};
+
+/** One transient whose planned allocation is wrong. */
+struct PlanFinding
+{
+    enum class Kind { kMissing, kUndersized, kOverlap };
+    Kind kind = Kind::kMissing;
+    const ValueInfo *value = nullptr;
+    /** kOverlap: the live transient whose bytes it overlaps. */
+    const ValueInfo *holder = nullptr;
+    /** The planned allocation (absent for kMissing). */
+    Allocation alloc;
+};
+
+/** What replayPlan derived and found. */
+struct PlanReplay
+{
+    /** Max simultaneous live bytes, and the first position reaching it. */
+    int64_t live_peak_bytes = 0;
+    int peak_pos = 0;
+    /** Max over allocations of offset + bytes. */
+    int64_t address_peak_bytes = 0;
+    /** One point per schedule position that allocates or frees. */
+    std::vector<FootprintPoint> curve;
+    std::vector<PlanFinding> findings;
+
+    bool ok() const { return findings.empty(); }
+};
+
+/** Replay @p plan against the intervals of @p live (see file comment).
+ *  Values whose interval lies outside the schedule are skipped. */
+PlanReplay replayPlan(const LivenessResult &live, const MemoryPlan &plan);
 
 } // namespace echo::memory
 

@@ -1,8 +1,9 @@
 /**
  * @file
  * Umbrella header of the observability layer: spans + trace export
- * (obs/trace.h), monotonic counters (obs/counters.h), and the memory
- * timeline recorder/replay (obs/memory_timeline.h).
+ * (obs/trace.h) and monotonic counters (obs/counters.h).  The memory
+ * plan's footprint replay lives with the planner
+ * (memory::replayPlan), which obs sits below.
  *
  * Everything is gated behind ECHO_TRACE=<path> (or a programmatic
  * startTrace()); with tracing disabled, instrumentation costs one
@@ -13,7 +14,6 @@
 #define ECHO_OBS_OBS_H
 
 #include "obs/counters.h"
-#include "obs/memory_timeline.h"
 #include "obs/trace.h"
 
 #endif // ECHO_OBS_OBS_H

@@ -7,7 +7,6 @@
 #include "budget/planner.h"
 #include "core/logging.h"
 #include "graph/autodiff.h"
-#include "memory/liveness.h"
 #include "memory/planner.h"
 
 namespace echo::pass {
@@ -141,10 +140,9 @@ class VerifyPass : public Pass
     }
 };
 
-/** Derives the memory plan of the current graph into ctx.plan (the
- *  liveness analysis rides along in ctx.plan_liveness) and establishes
- *  kMemoryPlanned so downstream passes — recompute_budget's fraction
- *  budgets, the memory-plan checker — may rely on it. */
+/** Derives the memory plan of the current graph into ctx.plan and
+ *  establishes kMemoryPlanned so downstream passes — recompute_budget's
+ *  fraction budgets, the memory-plan checker — may rely on it. */
 class PlanPass : public Pass
 {
   public:
@@ -160,8 +158,7 @@ class PlanPass : public Pass
         ECHO_CHECK(!eff.empty(),
                    "plan pass needs fetches (set ctx.loss / ctx.fetches "
                    "or run autodiff first)");
-        ctx.plan_liveness = memory::analyzeLiveness(eff, ctx.weight_grads);
-        ctx.plan = memory::planMemory(ctx.plan_liveness);
+        ctx.plan = memory::planSchedule(eff, ctx.weight_grads).plan;
         ctx.has_plan = true;
     }
     std::vector<std::string> postconditionCheckers() const override
@@ -182,9 +179,9 @@ class PlanPass : public Pass
  *    solver=S     greedy | dp | lagrange        (default dp)
  *
  *  Exactly one of bytes/fraction is required.  The pass snapshots the
- *  graph for the recompute audit, runs planWithBudget, and re-plans
- *  memory afterwards so kMemoryPlanned stays truthful; plan-feasible
- *  then re-derives the peak and replays the allocation timeline. */
+ *  graph for the recompute audit, runs planWithBudget, and keeps its
+ *  final memory plan as ctx.plan so kMemoryPlanned stays truthful;
+ *  plan-feasible then re-derives the peak and replays the plan. */
 class RecomputeBudgetPass : public Pass
 {
   public:
@@ -276,10 +273,8 @@ class RecomputeBudgetPass : public Pass
                                    config);
         ctx.has_budget_plan = true;
         ctx.recompute = ctx.budget_plan.pass;
-
         // Keep kMemoryPlanned truthful across the rewrite.
-        ctx.plan_liveness = memory::analyzeLiveness(eff, ctx.weight_grads);
-        ctx.plan = memory::planMemory(ctx.plan_liveness);
+        ctx.plan = ctx.budget_plan.memory_plan;
         ctx.has_plan = true;
     }
 

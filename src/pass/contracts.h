@@ -42,16 +42,16 @@ enum class Invariant : uint8_t {
      *  fusion pass retypes snapshot-era nodes in place and clobbers
      *  this. */
     kRecomputeApplied,
-    /** ctx.plan holds a memory plan derived from the *current* graph
-     *  (ctx.plan_liveness is the matching liveness analysis).
-     *  Established by the plan pass; any pass that rewrites the graph
+    /** ctx.plan holds a memory plan derived from the *current* graph.
+     *  Established by the plan pass (and by recompute_budget, which
+     *  keeps its final plan); any pass that rewrites the graph
      *  afterwards invalidates it unless it re-plans itself. */
     kMemoryPlanned,
     /** A budget-targeted recomputation plan (ctx.budget_plan) has been
      *  produced for the current graph and its measured pool peak fits
      *  the requested byte budget.  Established by recompute_budget;
      *  checked post-hoc by the plan-feasible checker, which re-derives
-     *  the pool peak and replays the allocation timeline. */
+     *  the pool peak and replays the plan. */
     kPlanFeasible,
 };
 

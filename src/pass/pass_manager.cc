@@ -6,8 +6,6 @@
 #include <sstream>
 
 #include "core/logging.h"
-#include "memory/liveness.h"
-#include "memory/planner.h"
 #include "obs/counters.h"
 #include "obs/trace.h"
 
@@ -56,7 +54,22 @@ fetchesVerifyClean(const PipelineContext &ctx,
                    const std::vector<graph::Val> &fetches)
 {
     return !fetches.empty() &&
-           (ctx.stage_verified || analysis::verifyFetches(fetches).ok());
+           (ctx.stage.verified || analysis::verifyFetches(fetches).ok());
+}
+
+/** The current graph's liveness and memory plan: the stage memo's once
+ *  the stage verified (the first caller fills it), else planned afresh
+ *  into @p own. */
+const memory::PlannedSchedule &
+plannedSchedule(const PipelineContext &ctx,
+                const std::vector<graph::Val> &fetches,
+                std::optional<memory::PlannedSchedule> &own)
+{
+    std::optional<memory::PlannedSchedule> &slot =
+        ctx.stage.verified ? ctx.stage.planned : own;
+    if (!slot)
+        slot = memory::planSchedule(fetches, ctx.weight_grads);
+    return *slot;
 }
 
 analysis::AnalysisReport
@@ -74,10 +87,10 @@ checkLifetime(const PipelineContext &ctx)
     const std::vector<graph::Val> eff = ctx.effectiveFetches();
     if (!fetchesVerifyClean(ctx, eff))
         return {};
-    const memory::LivenessResult live =
-        memory::analyzeLiveness(eff, ctx.weight_grads);
-    const memory::MemoryPlan plan = memory::planMemory(live);
-    return analysis::analyzeLifetimes(live, eff, ctx.weight_grads, &plan);
+    std::optional<memory::PlannedSchedule> own;
+    const memory::PlannedSchedule &s = plannedSchedule(ctx, eff, own);
+    return analysis::analyzeLifetimes(s.liveness, eff, ctx.weight_grads,
+                                      &s.plan);
 }
 
 analysis::AnalysisReport
@@ -114,10 +127,12 @@ checkRecomputeAudit(const PipelineContext &ctx)
     const std::vector<graph::Val> eff = ctx.effectiveFetches();
     if (!fetchesVerifyClean(ctx, eff))
         return {};
+    std::optional<memory::PlannedSchedule> own;
+    const memory::PlannedSchedule &s = plannedSchedule(ctx, eff, own);
     analysis::AuditOptions opts;
     opts.expect_gemm_free = ctx.recompute_config.respect_gemm_boundary;
     return analysis::auditRecomputePass(*ctx.recompute_snapshot, *ctx.graph,
-                                        eff, ctx.weight_grads, ctx.recompute,
+                                        s.liveness, s.plan, ctx.recompute,
                                         opts);
 }
 
@@ -133,9 +148,8 @@ checkMemoryPlan(const PipelineContext &ctx)
     if (!fetchesVerifyClean(ctx, eff))
         return {};
     analysis::AnalysisReport report;
-    const memory::LivenessResult live =
-        memory::analyzeLiveness(eff, ctx.weight_grads);
-    const memory::MemoryPlan fresh = memory::planMemory(live);
+    std::optional<memory::PlannedSchedule> own;
+    const memory::MemoryPlan &fresh = plannedSchedule(ctx, eff, own).plan;
     if (fresh.pool_peak_bytes != ctx.plan.pool_peak_bytes ||
         fresh.persistent_bytes != ctx.plan.persistent_bytes) {
         report.add(analysis::Check::kPlanStale, analysis::Severity::kError,
@@ -176,16 +190,13 @@ checkPlanFeasible(const PipelineContext &ctx)
         return report;
     }
     // Re-derive the pool peak from the current graph — never trust the
-    // planner's own record — and independently replay the allocation
-    // timeline against it.
-    obs::MemoryTimeline timeline;
-    memory::PlannerOptions popts;
-    popts.timeline = &timeline;
-    const memory::LivenessResult live =
-        memory::analyzeLiveness(eff, ctx.weight_grads);
-    const memory::MemoryPlan plan = memory::planMemory(live, popts);
+    // planner's own record — and independently replay the plan against
+    // the live intervals.
+    std::optional<memory::PlannedSchedule> own;
+    const memory::PlannedSchedule &s = plannedSchedule(ctx, eff, own);
+    const memory::MemoryPlan &plan = s.plan;
     report.merge(
-        analysis::checkPoolBudget(live, plan, bp.budget_bytes));
+        analysis::checkPoolBudget(s.liveness, plan, bp.budget_bytes));
     if (plan.pool_peak_bytes != bp.planned_pool_peak) {
         report.add(analysis::Check::kPlanStale, analysis::Severity::kError,
                    "budget plan is stale: it recorded pool peak " +
@@ -193,17 +204,17 @@ checkPlanFeasible(const PipelineContext &ctx)
                        " bytes but re-planning the current graph gives " +
                        std::to_string(plan.pool_peak_bytes) + " bytes");
     }
-    const obs::TimelineReplay replay = obs::replayTimeline(timeline);
+    const memory::PlanReplay replay = memory::replayPlan(s.liveness, plan);
     if (!replay.ok() ||
         replay.address_peak_bytes != plan.pool_peak_bytes) {
         report.add(analysis::Check::kPlanStale, analysis::Severity::kError,
-                   "timeline replay disagrees with the memory plan: "
+                   "plan replay disagrees with the memory plan: "
                    "address peak " +
                        std::to_string(replay.address_peak_bytes) +
                        " bytes vs planned pool peak " +
                        std::to_string(plan.pool_peak_bytes) + " bytes (" +
-                       std::to_string(replay.violations.size()) +
-                       " violation(s))");
+                       std::to_string(replay.findings.size()) +
+                       " finding(s))");
     }
     return report;
 }
@@ -491,7 +502,7 @@ PassManager::run(PipelineContext &ctx, const RunOptions &opts) const
         }
 
         const IrStats before = carried ? *carried : irStats(ctx);
-        ctx.stage_verified = false;
+        ctx.stage = {};
         {
             obs::Span span;
             if (obs::traceEnabled()) {
@@ -549,7 +560,7 @@ PassManager::run(PipelineContext &ctx, const RunOptions &opts) const
             stage.checkers_run.push_back(name);
             const bool failed = result.errorCount() > 0;
             if (*checker == checkGraphVerify && !failed)
-                ctx.stage_verified = true;
+                ctx.stage.verified = true;
             stage.post.merge(result);
             // A failed checker means later checkers (which assume a
             // sane graph) may panic instead of reporting — stop here.
@@ -571,8 +582,8 @@ PassManager::run(PipelineContext &ctx, const RunOptions &opts) const
             break;
         }
     }
-    // The stage-verified memo never outlives this run.
-    ctx.stage_verified = false;
+    // The stage memo never outlives this run.
+    ctx.stage = {};
     return report;
 }
 

@@ -18,7 +18,9 @@
  *      postconditions after each pass (graph verifier, lifetime
  *      analyzer, hazard detector, auditFusion, auditRecomputePass,
  *      memory-plan replay — see the checker table), never trusting a
- *      transform's own bookkeeping;
+ *      transform's own bookkeeping.  The checkers of one stage share
+ *      one graph verification and one liveness + memory plan
+ *      (PipelineContext::stage);
  *
  *  (c) records a per-pass IR snapshot diff (node / reachable / value /
  *      byte deltas) through obs spans and counters, so a trace of a
@@ -41,7 +43,6 @@
 #include "budget/planner.h"
 #include "echo/recompute_pass.h"
 #include "graph/fusion.h"
-#include "memory/liveness.h"
 #include "memory/planner.h"
 #include "pass/contracts.h"
 
@@ -78,16 +79,15 @@ struct PipelineContext
     PassResult recompute;
     std::optional<analysis::GraphSnapshot> recompute_snapshot;
 
-    /** Memory plan of the current graph (plan pass; re-derived by
-     *  recompute_budget after its rewrite).  The memory-plan checker
+    /** Memory plan of the current graph (plan pass; recompute_budget
+     *  keeps planWithBudget's final plan).  The memory-plan checker
      *  re-plans and compares while kMemoryPlanned holds. */
     bool has_plan = false;
-    memory::LivenessResult plan_liveness;
     memory::MemoryPlan plan;
 
     /** Budget-targeted recomputation (recompute_budget pass): what was
      *  asked and what the planner decided/measured.  The plan-feasible
-     *  checker replays the allocation timeline against it. */
+     *  checker re-plans and replays the plan against it. */
     budget::BudgetConfig budget_config;
     budget::BudgetPlan budget_plan;
     bool has_budget_plan = false;
@@ -97,12 +97,21 @@ struct PipelineContext
      *  consult it to decide applicability. */
     std::set<Invariant> holds;
 
-    /** True while PassManager::run is replaying one stage's checkers
-     *  and graph-verify has passed on the effective fetches: the other
-     *  checkers of that stage then skip their own verifyFetches.
-     *  Cleared before every pass runs and when run() returns, so a
-     *  checker called outside run() always verifies. */
-    bool stage_verified = false;
+    /** What the checkers of one PassManager::run stage share.  run()
+     *  clears it before every pass runs and when it returns; checkers
+     *  take the context const, so within a stage the graph is the one
+     *  it describes.  A checker called outside run() finds it empty
+     *  and verifies and plans for itself. */
+    struct StageMemo
+    {
+        /** graph-verify passed on the effective fetches, so the later
+         *  checkers skip their own verifyFetches. */
+        bool verified = false;
+        /** The current graph's liveness and memory plan, filled by the
+         *  first checker that needs them once the stage verified. */
+        std::optional<memory::PlannedSchedule> planned;
+    };
+    mutable StageMemo stage;
 
     /** The fetch set analyses should use: fetches when set, else the
      *  loss closure (pre-autodiff), else empty. */

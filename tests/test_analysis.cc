@@ -375,6 +375,18 @@ TEST(Hazards, PrematureFreeFlagged)
 // ---------------------------------------------------------------------
 // Echo pass auditor.
 
+/** auditRecomputePass over @p g's current liveness and memory plan. */
+AnalysisReport
+auditNow(const GraphSnapshot &snap, const graph::Graph &g,
+         const std::vector<Val> &fetches,
+         const std::vector<Val> &weight_grads,
+         const pass::PassResult &res)
+{
+    const memory::PlannedSchedule s =
+        memory::planSchedule(fetches, weight_grads);
+    return auditRecomputePass(snap, g, s.liveness, s.plan, res);
+}
+
 TEST(PassAudit, CleanAfterAutoPass)
 {
     MiniAttention m;
@@ -386,8 +398,8 @@ TEST(PassAudit, CleanAfterAutoPass)
     const pass::PassResult res =
         pass::runRecomputePass(*m.g, m.fetches, cfg);
     ASSERT_GT(res.num_regions, 0);
-    const AnalysisReport audit = auditRecomputePass(
-        snap, *m.g, m.fetches, m.weight_grads, res, {});
+    const AnalysisReport audit =
+        auditNow(snap, *m.g, m.fetches, m.weight_grads, res);
     EXPECT_TRUE(audit.ok()) << audit.toString();
     EXPECT_TRUE(analyzeAll(m.fetches, m.weight_grads).ok());
 }
@@ -406,8 +418,8 @@ TEST(PassAudit, RecomputedGemmFlagged)
     const pass::PassResult res =
         pass::runRecomputePass(m.g, m.fetches, cfg);
     ASSERT_GT(res.num_recompute_nodes, 0);
-    const AnalysisReport audit = auditRecomputePass(
-        snap, m.g, m.fetches, m.weight_grads, res, {});
+    const AnalysisReport audit =
+        auditNow(snap, m.g, m.fetches, m.weight_grads, res);
     EXPECT_TRUE(has(audit, Check::kRecomputedGemm));
     EXPECT_TRUE(onlyErrorsOf(audit, Check::kRecomputedGemm))
         << audit.toString();
@@ -421,8 +433,8 @@ TEST(PassAudit, MutatedForwardFlagged)
     // A buggy pass rewiring a *forward* node (same shape, so only the
     // diff check can catch it).
     m.th.node->inputs[0] = m.x;
-    const AnalysisReport audit = auditRecomputePass(
-        snap, m.g, m.fetches, m.weight_grads, pass::PassResult{}, {});
+    const AnalysisReport audit = auditNow(snap, m.g, m.fetches,
+                                          m.weight_grads, pass::PassResult{});
     EXPECT_TRUE(has(audit, Check::kMutatedForward));
     EXPECT_TRUE(onlyErrorsOf(audit, Check::kMutatedForward))
         << audit.toString();
@@ -438,8 +450,8 @@ TEST(PassAudit, FootprintMismatchFlagged)
     pass::PassResult res;
     res.num_regions = 1;
     res.bytes_saved = 1 << 20;
-    const AnalysisReport audit = auditRecomputePass(
-        snap, m.g, m.fetches, m.weight_grads, res, {});
+    const AnalysisReport audit =
+        auditNow(snap, m.g, m.fetches, m.weight_grads, res);
     EXPECT_TRUE(has(audit, Check::kFootprintMismatch));
     EXPECT_TRUE(onlyErrorsOf(audit, Check::kFootprintMismatch))
         << audit.toString();

@@ -6,7 +6,7 @@
  * to enumerate every candidate subset, the DP-never-worse-than-greedy
  * guarantee, infeasible-budget diagnostics (binding buffers, untouched
  * graph), feasible end-to-end planning cross-checked by the real memory
- * planner and the obs timeline replay, byte-identical training outputs
+ * planner and the plan replay, byte-identical training outputs
  * with budget planning on vs off across thread counts, and the
  * `plan,recompute_budget(...)` pipeline establishing plan-feasible.
  */
@@ -425,10 +425,17 @@ TEST(BudgetPlanner, FeasibleBudgetFitsAndTimelineReplays)
     EXPECT_LE(plan.planned_pool_peak, config.budget_bytes);
     EXPECT_GT(plan.pass.num_regions, 0);
     // The planner's record must match an independent re-plan, and the
-    // obs timeline replay must agree with both.
+    // plan it kept must replay cleanly against the rewritten graph's
+    // liveness with the same address peak.
     EXPECT_EQ(plan.planned_pool_peak, poolPeakOf(m));
+    EXPECT_EQ(plan.memory_plan.pool_peak_bytes, plan.planned_pool_peak);
     EXPECT_TRUE(plan.replay_ok);
-    EXPECT_EQ(plan.replay.address_peak_bytes, plan.planned_pool_peak);
+    const memory::LivenessResult live =
+        memory::analyzeLiveness(m.fetches, m.weight_grads);
+    const memory::PlanReplay replay =
+        memory::replayPlan(live, plan.memory_plan);
+    EXPECT_TRUE(replay.ok());
+    EXPECT_EQ(replay.address_peak_bytes, plan.planned_pool_peak);
 }
 
 TEST(BudgetPlanner, ByteIdenticalOutputsOnVsOffAcrossThreads)

@@ -318,8 +318,10 @@ TEST(RecomputePass, AutoAcceptsAttentionRegions)
     EXPECT_EQ(recompute_nodes, res.num_recompute_nodes);
     // Mandatory post-pass audit: diff discipline, GEMM-free replay,
     // workspace sharing, honest footprint accounting.
+    const memory::PlannedSchedule after =
+        memory::planSchedule(m.fetches, m.weight_grads);
     const analysis::AnalysisReport audit = analysis::auditRecomputePass(
-        snap, *m.g, m.fetches, m.weight_grads, res, {});
+        snap, *m.g, after.liveness, after.plan, res);
     EXPECT_TRUE(audit.ok()) << audit.toString();
 }
 

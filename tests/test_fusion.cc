@@ -24,6 +24,7 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <vector>
 
 #include "analysis/analysis.h"
@@ -530,10 +531,12 @@ TEST(Fusion, RecomputePassRewritesAndAuditsCleanlyOnFusedGraph)
         model.graph(), model.fetches(), cfg);
     EXPECT_GT(result.num_regions, 0);
 
-    analysis::AnalysisReport report =
-        analysis::analyzeAll(model.fetches(), model.weightGrads());
+    std::optional<memory::PlannedSchedule> planned;
+    analysis::AnalysisReport report = analysis::analyzeAll(
+        model.fetches(), model.weightGrads(), &planned);
+    ASSERT_TRUE(planned.has_value()) << report.toString();
     report.merge(analysis::auditRecomputePass(
-        snapshot, model.graph(), model.fetches(), model.weightGrads(),
+        snapshot, model.graph(), planned->liveness, planned->plan,
         result));
     EXPECT_TRUE(report.ok()) << report.toString();
 }

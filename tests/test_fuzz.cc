@@ -7,9 +7,10 @@
  *  - the rewrite never changes a single output bit (fused or unfused),
  *  - the pass never recomputes a GEMM-class op,
  *  - the memory plan never overlaps simultaneously live values,
- *  - the planner's recorded memory timeline replays consistently (no
- *    overlapping live allocations, peak equal to the plan's pool peak,
- *    pool peak never below the liveness lower bound),
+ *  - the memory plan replays consistently against the live intervals
+ *    (no missing, undersized or overlapping allocations, address peak
+ *    equal to the plan's pool peak, pool peak never below the liveness
+ *    lower bound),
  *  - analytic gradients match finite differences,
  *  - the executor's parallel ready-queue dispatch matches serial
  *    schedule order bit for bit at 1/2/4 threads.
@@ -46,7 +47,6 @@
 #include "models/word_lm.h"
 #include "pass/builtin_passes.h"
 #include "serve/server.h"
-#include "obs/memory_timeline.h"
 #include "tensor/ops.h"
 #include "tune/search_space.h"
 
@@ -349,17 +349,15 @@ TEST_P(PassFuzz, TimelineReplayMatchesPlanAndLivenessBound)
 
         const auto live =
             memory::analyzeLiveness(m.fetches, m.weight_grads);
-        obs::MemoryTimeline timeline;
-        memory::PlannerOptions opts;
-        opts.timeline = &timeline;
+        const memory::PlannerOptions opts;
         const auto plan = memory::planMemory(live, opts);
-        const obs::TimelineReplay replay =
-            obs::replayTimeline(timeline);
+        const memory::PlanReplay replay = memory::replayPlan(live, plan);
 
-        for (const std::string &v : replay.violations)
-            ADD_FAILURE() << repro(seed) << " pass=" << run_pass
-                          << ": " << v;
-        EXPECT_EQ(replay.outstanding_bytes, 0)
+        EXPECT_TRUE(replay.ok()) << repro(seed) << " pass=" << run_pass
+                                 << ": " << replay.findings.size()
+                                 << " finding(s)";
+        ASSERT_FALSE(replay.curve.empty()) << repro(seed);
+        EXPECT_EQ(replay.curve.back().live_bytes, 0)
             << repro(seed) << " pass=" << run_pass;
         EXPECT_EQ(replay.address_peak_bytes, plan.pool_peak_bytes)
             << repro(seed) << " pass=" << run_pass;
@@ -470,7 +468,7 @@ TEST_P(PassFuzz, RandomBudgetsAlwaysFit)
     ASSERT_LE(tightest, baseline_peak) << repro(seed);
 
     // Property: EVERY budget in [tightest, baseline] is feasible, the
-    // measured peak honors it, the timeline replay agrees, and the
+    // measured peak honors it, the plan replay agrees, and the
     // rewrite never changes an output bit — for every solver.
     RandomModel baseline;
     baseline.build(seed, 24);

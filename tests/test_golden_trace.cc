@@ -39,8 +39,8 @@ struct GoldenRun
     std::map<std::string, int> op_spans;
     /** Deterministic counter totals by name. */
     std::map<std::string, int64_t> det_counters;
-    /** Planner timeline length and replayed peak. */
-    size_t timeline_events = 0;
+    /** Transients the plan allocates, and its replayed address peak. */
+    size_t planned_transients = 0;
     int64_t address_peak_bytes = 0;
 };
 
@@ -107,12 +107,8 @@ traceOneIteration(int num_threads)
             opt.step(params, model.weights(), grads);
         });
 
-    const auto live =
-        memory::analyzeLiveness(model.fetches(), model.weightGrads());
-    MemoryTimeline timeline;
-    memory::PlannerOptions popts;
-    popts.timeline = &timeline;
-    memory::planMemory(live, popts);
+    const memory::PlannedSchedule planned =
+        memory::planSchedule(model.fetches(), model.weightGrads());
 
     stopTrace();
     ThreadPool::setGlobalNumThreads(ThreadPool::defaultNumThreads());
@@ -134,9 +130,10 @@ traceOneIteration(int num_threads)
     for (const CounterSample &c : snapshotCounters())
         if (c.kind == CounterKind::kDeterministic)
             run.det_counters[c.name] = c.value;
-    run.timeline_events = timeline.events.size();
+    run.planned_transients = planned.plan.offsets.size();
     run.address_peak_bytes =
-        replayTimeline(timeline).address_peak_bytes;
+        memory::replayPlan(planned.liveness, planned.plan)
+            .address_peak_bytes;
     return run;
 }
 
@@ -167,7 +164,7 @@ TEST(GoldenTrace, WorkIsIdenticalAcrossThreadCounts)
         EXPECT_EQ(run.det_counters, base.det_counters)
             << "deterministic counters diverged at " << threads
             << " threads";
-        EXPECT_EQ(run.timeline_events, base.timeline_events);
+        EXPECT_EQ(run.planned_transients, base.planned_transients);
         EXPECT_EQ(run.address_peak_bytes, base.address_peak_bytes);
     }
 }

@@ -1,16 +1,21 @@
 /**
  * @file
  * Tests for liveness analysis, the pool planner (including the paper's
- * workspace-sharing behaviour), and the memory profiler's category
- * attribution.
+ * workspace-sharing behaviour), the plan replay, and the memory
+ * profiler's category attribution.
  */
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "echo/recompute_pass.h"
 #include "graph/autodiff.h"
 #include "graph/ops/oplib.h"
 #include "memory/liveness.h"
 #include "memory/planner.h"
 #include "memory/profiler.h"
+#include "models/nmt.h"
+#include "models/word_lm.h"
 
 namespace echo::memory {
 namespace {
@@ -236,6 +241,110 @@ TEST(Profiler, FragmentationModelAddsGap)
     EXPECT_GE(prof.undisclosed_bytes, 100 << 20);
     EXPECT_EQ(prof.device_bytes,
               prof.planned_bytes + prof.undisclosed_bytes);
+}
+
+// ----------------------------------------------------------------------
+// Plan replay vs planner, on the built-in models
+// ----------------------------------------------------------------------
+
+void
+expectReplayMatchesPlan(const std::vector<Val> &fetches,
+                        const std::vector<Val> &weight_grads, bool reuse,
+                        const std::string &what)
+{
+    const LivenessResult live = analyzeLiveness(fetches, weight_grads);
+    PlannerOptions opts;
+    opts.reuse_transients = reuse;
+    const MemoryPlan plan = planMemory(live, opts);
+    const PlanReplay replay = replayPlan(live, plan);
+
+    EXPECT_TRUE(replay.ok()) << what << ": " << replay.findings.size()
+                             << " finding(s)";
+    EXPECT_EQ(replay.address_peak_bytes, plan.pool_peak_bytes) << what;
+    EXPECT_LE(replay.live_peak_bytes, plan.pool_peak_bytes) << what;
+    EXPECT_GT(replay.live_peak_bytes, 0) << what;
+    EXPECT_EQ(replay.peak_pos, plan.peak_pos) << what;
+    ASSERT_FALSE(replay.curve.empty()) << what;
+    // Every allocation is freed: the curve ends with nothing live.
+    EXPECT_EQ(replay.curve.back().live_bytes, 0) << what;
+}
+
+TEST(PlanReplay, WordLmReplayMatchesPlan)
+{
+    for (const bool run_pass : {false, true}) {
+        models::WordLmConfig cfg;
+        cfg.vocab = 120;
+        cfg.hidden = 16;
+        cfg.layers = 2;
+        cfg.batch = 4;
+        cfg.seq_len = 10;
+        models::WordLmModel model(cfg);
+        if (run_pass)
+            pass::runRecomputePass(model.graph(), model.fetches(), {});
+        const std::string what =
+            std::string("word_lm pass=") + (run_pass ? "on" : "off");
+        expectReplayMatchesPlan(model.fetches(), model.weightGrads(), true,
+                                what);
+        expectReplayMatchesPlan(model.fetches(), model.weightGrads(),
+                                false, what + " no-reuse");
+    }
+}
+
+TEST(PlanReplay, NmtReplayMatchesPlan)
+{
+    for (const bool run_pass : {false, true}) {
+        models::NmtConfig cfg;
+        cfg.src_vocab = 60;
+        cfg.tgt_vocab = 70;
+        cfg.hidden = 16;
+        cfg.enc_layers = 1;
+        cfg.batch = 3;
+        cfg.src_len = 8;
+        cfg.tgt_len = 8;
+        models::NmtModel model(cfg);
+        if (run_pass)
+            pass::runRecomputePass(model.graph(), model.fetches(), {});
+        const std::string what =
+            std::string("nmt pass=") + (run_pass ? "on" : "off");
+        expectReplayMatchesPlan(model.fetches(), model.weightGrads(), true,
+                                what);
+        expectReplayMatchesPlan(model.fetches(), model.weightGrads(),
+                                false, what + " no-reuse");
+    }
+}
+
+TEST(PlanReplay, FlagsTamperedPlans)
+{
+    // a and b are live together at c; tampered copies of their plan
+    // must each produce exactly one finding of the tampered kind.
+    Graph g;
+    Val x = g.placeholder(Shape({256}), "x");
+    Val a = g.apply1(ol::tanhOp(), {x});
+    Val b = g.apply1(ol::sigmoidOp(), {x});
+    Val c = g.apply1(ol::add(), {a, b});
+    const LivenessResult live = analyzeLiveness({c});
+    const MemoryPlan plan = planMemory(live);
+    ASSERT_TRUE(replayPlan(live, plan).ok());
+
+    const auto expectOne = [&](const MemoryPlan &bad, PlanFinding::Kind kind,
+                               const Val &at) {
+        const PlanReplay replay = replayPlan(live, bad);
+        ASSERT_EQ(replay.findings.size(), 1u);
+        EXPECT_EQ(replay.findings[0].kind, kind);
+        EXPECT_EQ(replay.findings[0].value->val, at);
+    };
+
+    MemoryPlan aliased = plan;
+    aliased.offsets[b].offset = aliased.offsets[a].offset;
+    expectOne(aliased, PlanFinding::Kind::kOverlap, b);
+
+    MemoryPlan undersized = plan;
+    undersized.offsets[b].bytes = 256 * 4 - 1;
+    expectOne(undersized, PlanFinding::Kind::kUndersized, b);
+
+    MemoryPlan erased = plan;
+    erased.offsets.erase(a);
+    expectOne(erased, PlanFinding::Kind::kMissing, a);
 }
 
 } // namespace

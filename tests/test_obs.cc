@@ -8,10 +8,7 @@
  *  - counters: exact totals on a hand-built graph, monotone across
  *    runs,
  *  - disabled mode: instrumented code emits no events and allocates no
- *    event buffers,
- *  - memory timeline: the replayed plan matches MemoryPlan accounting
- *    byte-for-byte for the built-in models, with and without the Echo
- *    pass, pooled and unpooled.
+ *    event buffers.
  */
 #include <gtest/gtest.h>
 
@@ -24,13 +21,11 @@
 #include <string>
 #include <vector>
 
+#include "core/rng.h"
 #include "core/thread_pool.h"
-#include "echo/recompute_pass.h"
 #include "graph/executor.h"
 #include "graph/ops/oplib.h"
 #include "memory/planner.h"
-#include "models/nmt.h"
-#include "models/word_lm.h"
 #include "obs/obs.h"
 
 namespace echo::obs {
@@ -483,100 +478,6 @@ TEST(Trace, RestartClearsPreviousEvents)
     const auto events = snapshotEvents();
     ASSERT_EQ(events.size(), 1u);
     EXPECT_EQ(events[0].name, "second");
-}
-
-// ----------------------------------------------------------------------
-// Memory timeline replay vs planner, on the built-in models
-// ----------------------------------------------------------------------
-
-void
-expectTimelineMatchesPlan(const std::vector<Val> &fetches,
-                          const std::vector<Val> &weight_grads,
-                          bool reuse, const std::string &what)
-{
-    const auto live = memory::analyzeLiveness(fetches, weight_grads);
-    MemoryTimeline timeline;
-    memory::PlannerOptions opts;
-    opts.reuse_transients = reuse;
-    opts.timeline = &timeline;
-    const memory::MemoryPlan plan = memory::planMemory(live, opts);
-    const TimelineReplay replay = replayTimeline(timeline);
-
-    for (const std::string &v : replay.violations)
-        ADD_FAILURE() << what << ": " << v;
-    EXPECT_EQ(replay.outstanding_bytes, 0) << what;
-    EXPECT_EQ(replay.address_peak_bytes, plan.pool_peak_bytes) << what;
-    EXPECT_LE(replay.live_peak_bytes, plan.pool_peak_bytes) << what;
-    EXPECT_GT(replay.live_peak_bytes, 0) << what;
-    EXPECT_EQ(replay.peak_pos, plan.peak_pos) << what;
-    EXPECT_FALSE(replay.curve.empty()) << what;
-}
-
-TEST(MemoryTimeline, WordLmReplayMatchesPlan)
-{
-    for (const bool run_pass : {false, true}) {
-        models::WordLmConfig cfg;
-        cfg.vocab = 120;
-        cfg.hidden = 16;
-        cfg.layers = 2;
-        cfg.batch = 4;
-        cfg.seq_len = 10;
-        models::WordLmModel model(cfg);
-        if (run_pass)
-            pass::runRecomputePass(model.graph(), model.fetches(), {});
-        const std::string what =
-            std::string("word_lm pass=") + (run_pass ? "on" : "off");
-        expectTimelineMatchesPlan(model.fetches(), model.weightGrads(),
-                                  true, what);
-        expectTimelineMatchesPlan(model.fetches(), model.weightGrads(),
-                                  false, what + " no-reuse");
-    }
-}
-
-TEST(MemoryTimeline, NmtReplayMatchesPlan)
-{
-    for (const bool run_pass : {false, true}) {
-        models::NmtConfig cfg;
-        cfg.src_vocab = 60;
-        cfg.tgt_vocab = 70;
-        cfg.hidden = 16;
-        cfg.enc_layers = 1;
-        cfg.batch = 3;
-        cfg.src_len = 8;
-        cfg.tgt_len = 8;
-        models::NmtModel model(cfg);
-        if (run_pass)
-            pass::runRecomputePass(model.graph(), model.fetches(), {});
-        const std::string what =
-            std::string("nmt pass=") + (run_pass ? "on" : "off");
-        expectTimelineMatchesPlan(model.fetches(), model.weightGrads(),
-                                  true, what);
-        expectTimelineMatchesPlan(model.fetches(), model.weightGrads(),
-                                  false, what + " no-reuse");
-    }
-}
-
-TEST(MemoryTimeline, ReplayFlagsOverlapsAndLeaks)
-{
-    // Hand-built broken timelines exercise the replay checks
-    // themselves: overlapping live blocks, an unknown free, a leak.
-    MemoryTimeline bad;
-    bad.events.push_back({0, true, 0, 512, 1, 0, "a"});
-    bad.events.push_back({1, true, 256, 512, 2, 0, "b"}); // overlaps a
-    const TimelineReplay overlap = replayTimeline(bad);
-    ASSERT_EQ(overlap.violations.size(), 1u);
-    EXPECT_NE(overlap.violations[0].find("overlap"), std::string::npos);
-
-    MemoryTimeline unknown;
-    unknown.events.push_back({0, false, 128, 64, 1, 0, "ghost"});
-    EXPECT_EQ(replayTimeline(unknown).violations.size(), 1u);
-
-    MemoryTimeline leak;
-    leak.events.push_back({0, true, 0, 256, 1, 0, "kept"});
-    const TimelineReplay leaked = replayTimeline(leak);
-    EXPECT_TRUE(leaked.violations.empty());
-    EXPECT_EQ(leaked.outstanding_bytes, 256);
-    EXPECT_FALSE(leaked.ok());
 }
 
 } // namespace

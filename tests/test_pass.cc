@@ -18,6 +18,7 @@
 #include "analysis/numeric_verify.h"
 #include "graph/executor.h"
 #include "models/word_lm.h"
+#include "obs/trace.h"
 #include "pass/builtin_passes.h"
 #include "pass/pass_manager.h"
 
@@ -349,22 +350,25 @@ TEST(Postconditions, BuggyPassCaughtByGraphVerifier)
     EXPECT_NE(report.toString().find("shape-mismatch"),
               std::string::npos)
         << report.toString();
-    EXPECT_FALSE(ctx.stage_verified);
+    EXPECT_FALSE(ctx.stage.verified);
+    EXPECT_FALSE(ctx.stage.planned.has_value());
 }
 
 TEST(Postconditions, StageVerifiedMemoEndsWithTheRun)
 {
-    // graph-verify's clean verdict is shared by the later checkers of
-    // its own stage only: no checker called after run() may trust it.
+    // graph-verify's clean verdict and the stage's plan are shared by
+    // the later checkers of their own stage only: no checker called
+    // after run() may trust them.
     models::WordLmModel model(tinyLmConfig(), "none");
     PipelineContext ctx(model.graph());
     ctx.loss = model.loss();
     for (const auto &[name, val] : model.weights())
         ctx.wrt.push_back(val);
     const PipelineReport report =
-        buildPipeline("autodiff,fusion").run(ctx, {});
+        buildPipeline("autodiff,fusion").run(ctx, {.all_checkers = true});
     ASSERT_TRUE(report.ok()) << report.toString();
-    EXPECT_FALSE(ctx.stage_verified);
+    EXPECT_FALSE(ctx.stage.verified);
+    EXPECT_FALSE(ctx.stage.planned.has_value());
 
     // Each stage's "before" is the previous stage's "after".
     ASSERT_EQ(report.stages.size(), 2u);
@@ -445,6 +449,161 @@ TEST(Postconditions, CleanPipelineReportsCheckersRun)
               (std::vector<std::string>{"graph-verify",
                                         "fusion-audit"}));
     EXPECT_EQ(report.stages[1].post.errorCount(), 0);
+}
+
+bool
+reportsCheck(const analysis::AnalysisReport &report, analysis::Check check)
+{
+    for (const analysis::Diagnostic &d : report.diagnostics)
+        if (d.check == check)
+            return true;
+    return false;
+}
+
+int64_t
+poolPeakOf(const PipelineContext &ctx)
+{
+    return memory::planMemory(
+               memory::analyzeLiveness(ctx.effectiveFetches(),
+                                       ctx.weight_grads))
+        .pool_peak_bytes;
+}
+
+/** Rewrites the graph after the plan pass but keeps kMemoryPlanned:
+ *  it redirects one backward input to an earlier forward value of the
+ *  same shape, stretching that value's live interval to the backward
+ *  consumer, so ctx.plan describes a graph that no longer exists.
+ *  Tries redirects until the pool peak moves. */
+class StalePlanPass : public Pass
+{
+  public:
+    const char *name() const override { return "stale-plan"; }
+    void
+    run(PipelineContext &ctx) override
+    {
+        const int64_t planned = poolPeakOf(ctx);
+        const memory::LivenessResult live = memory::analyzeLiveness(
+            ctx.effectiveFetches(), ctx.weight_grads);
+        for (auto sink = live.schedule.rbegin();
+             sink != live.schedule.rend(); ++sink) {
+            graph::Node *consumer = *sink;
+            if (consumer->phase != graph::Phase::kBackward)
+                continue;
+            for (graph::Val &input : consumer->inputs) {
+                for (const memory::ValueInfo &info : live.values) {
+                    const graph::Val early = info.val;
+                    if (info.persistent || early == input ||
+                        early.node->phase != graph::Phase::kForward ||
+                        !(graph::Graph::shapeOf(early) ==
+                          graph::Graph::shapeOf(input)))
+                        continue;
+                    const graph::Val original = input;
+                    input = early;
+                    if (poolPeakOf(ctx) != planned)
+                        return;
+                    input = original;
+                }
+            }
+        }
+        FAIL() << "no redirect moved the pool peak";
+    }
+    std::vector<std::string> postconditionCheckers() const override
+    {
+        return {"graph-verify", "memory-plan"};
+    }
+};
+
+TEST(Postconditions, MemoryPlanCheckerCatchesRewriteAfterPlan)
+{
+    models::WordLmModel model(tinyLmConfig(), "none");
+    PipelineContext ctx(model.graph());
+    ctx.loss = model.loss();
+    for (const auto &[name, val] : model.weights())
+        ctx.wrt.push_back(val);
+
+    PassManager pm = buildPipeline("autodiff,plan");
+    pm.add(std::make_unique<StalePlanPass>());
+    const PipelineReport report = pm.run(ctx, {});
+    ASSERT_EQ(report.stages.size(), 3u);
+    EXPECT_TRUE(report.stages[1].post.ok()) << report.toString();
+    EXPECT_TRUE(ctx.holds.count(Invariant::kMemoryPlanned));
+    EXPECT_TRUE(report.aborted);
+    EXPECT_TRUE(
+        reportsCheck(report.stages[2].post, analysis::Check::kPlanStale))
+        << report.toString();
+}
+
+TEST(Postconditions, PlanFeasibleCatchesTamperedBudgetPeak)
+{
+    models::WordLmModel model(tinyLmConfig(), "none");
+    PipelineContext ctx(model.graph());
+    ctx.loss = model.loss();
+    for (const auto &[name, val] : model.weights())
+        ctx.wrt.push_back(val);
+    const PipelineReport report =
+        buildPipeline("autodiff,plan,recompute_budget(fraction=0.99)")
+            .run(ctx, {});
+    ASSERT_TRUE(report.ok()) << report.toString();
+    ASSERT_TRUE(ctx.has_budget_plan);
+    ASSERT_TRUE(ctx.budget_plan.feasible);
+
+    const Checker *feasible = findChecker("plan-feasible");
+    ASSERT_NE(feasible, nullptr);
+    EXPECT_TRUE((*feasible)(ctx).ok());
+    ctx.budget_plan.planned_pool_peak += 256;
+    const analysis::AnalysisReport tampered = (*feasible)(ctx);
+    EXPECT_TRUE(reportsCheck(tampered, analysis::Check::kPlanStale))
+        << tampered.toString();
+}
+
+/** planMemory trace spans per stage of @p spec, replayed with every
+ *  checker on echo-lint's word-LM preset.  A span counts toward the
+ *  stage whose pass span began last. */
+std::vector<int>
+plansPerStage(const std::string &spec)
+{
+    models::WordLmConfig cfg;
+    cfg.vocab = 120;
+    cfg.hidden = 16;
+    cfg.layers = 2;
+    cfg.batch = 4;
+    cfg.seq_len = 10;
+    models::WordLmModel model(cfg, "none");
+    PipelineContext ctx(model.graph());
+    ctx.loss = model.loss();
+    for (const auto &[name, val] : model.weights())
+        ctx.wrt.push_back(val);
+
+    obs::startTrace();
+    const PipelineReport report =
+        buildPipeline(spec).run(ctx, {.all_checkers = true});
+    obs::stopTrace();
+    EXPECT_TRUE(report.ok()) << report.toString();
+
+    std::vector<int> plans;
+    for (const obs::TraceEvent &e : obs::snapshotEvents()) {
+        if (e.ph != 'B')
+            continue;
+        if (std::string(e.cat) == "pass")
+            plans.push_back(0);
+        else if (std::string(e.cat) == "mem" && e.name == "planMemory" &&
+                 !plans.empty())
+            ++plans.back();
+    }
+    return plans;
+}
+
+TEST(PassManager, PlansEachStageOnce)
+{
+    // The checkers of one stage share one liveness + plan: a stage
+    // plans once for its checkers plus what its pass plans itself (the
+    // plan pass; the recompute snapshot; planWithBudget's baseline,
+    // probe and trial).
+    EXPECT_EQ(plansPerStage("autodiff,fusion,recompute,plan,verify"),
+              (std::vector<int>{1, 1, 2, 2, 1}));
+    EXPECT_EQ(
+        plansPerStage("autodiff,plan,recompute_budget(fraction=0.99),verify"),
+        (std::vector<int>{1, 2, 5, 1}));
 }
 
 // ---------------------------------------------------------------------

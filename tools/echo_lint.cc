@@ -40,6 +40,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -48,7 +49,6 @@
 #include "analysis/hazards.h"
 #include "budget/planner.h"
 #include "echo/recompute_pass.h"
-#include "memory/liveness.h"
 #include "memory/planner.h"
 #include "models/nmt.h"
 #include "models/word_lm.h"
@@ -89,21 +89,21 @@ int
 lintOne(const LintSubject &subject, const LintOptions &opts,
         bool &dot_written)
 {
-    analysis::AnalysisReport report =
-        analysis::analyzeAll(subject.fetches, subject.weight_grads);
-    if (opts.budget_bytes > 0) {
+    // One plan per subject: the lifetime analyzer, the budget lint and
+    // the recompute audit all read the plan analyzeAll made.
+    std::optional<memory::PlannedSchedule> planned;
+    analysis::AnalysisReport report = analysis::analyzeAll(
+        subject.fetches, subject.weight_grads, &planned);
+    if (planned && opts.budget_bytes > 0) {
         // The budget lint: does this graph's transient pool fit?  A
         // violation names the binding buffers live at the peak.
-        const memory::LivenessResult live = memory::analyzeLiveness(
-            subject.fetches, subject.weight_grads);
-        const memory::MemoryPlan plan = memory::planMemory(live);
-        report.merge(
-            analysis::checkPoolBudget(live, plan, opts.budget_bytes));
+        report.merge(analysis::checkPoolBudget(
+            planned->liveness, planned->plan, opts.budget_bytes));
     }
-    if (subject.snapshot != nullptr) {
+    if (planned && subject.snapshot != nullptr) {
         report.merge(analysis::auditRecomputePass(
-            *subject.snapshot, *subject.graph, subject.fetches,
-            subject.weight_grads, *subject.pass_result));
+            *subject.snapshot, *subject.graph, planned->liveness,
+            planned->plan, *subject.pass_result));
     }
     if (subject.fusion != nullptr)
         report.merge(

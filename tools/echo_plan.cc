@@ -26,7 +26,6 @@
 
 #include "budget/planner.h"
 #include "core/table.h"
-#include "memory/liveness.h"
 #include "memory/planner.h"
 #include "models/nmt.h"
 #include "models/word_lm.h"
@@ -56,10 +55,9 @@ planFresh(const ConfigT &cfg, const PlanOptions &opts,
     config.budget_bytes = opts.budget_bytes;
     if (opts.budget_fraction > 0.0) {
         // Resolve the fraction against this model's measured baseline.
-        const memory::LivenessResult live = memory::analyzeLiveness(
-            model.fetches(), model.weightGrads());
         const int64_t baseline =
-            memory::planMemory(live).pool_peak_bytes;
+            memory::planSchedule(model.fetches(), model.weightGrads())
+                .plan.pool_peak_bytes;
         config.budget_bytes = static_cast<int64_t>(std::llround(
             opts.budget_fraction * static_cast<double>(baseline)));
     }

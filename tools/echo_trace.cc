@@ -10,14 +10,16 @@
  *    trainer iteration spans, Echo pass decision events, and planner
  *    alloc/free events,
  *  - a footprint-curve CSV (schedule position vs live transient bytes)
- *    replayed from the memory plan's timeline — the Fig. 5-style
- *    per-iteration view,
- *  - a counter summary on stdout.
+ *    from the memory plan's replay (memory::replayPlan) — the
+ *    Fig. 5-style per-iteration view,
+ *  - a counter summary: the deterministic counters on stdout, which is
+ *    byte-identical at any thread count, and the scheduling-dependent
+ *    ones on stderr.
  *
- * The tool self-checks that the replayed timeline is consistent: no
- * overlapping live allocations, balanced allocs/frees, and an address
- * peak byte-identical to MemoryPlan::pool_peak_bytes.  Exit status is
- * nonzero when the self-check fails, so CI can gate on it.
+ * The tool self-checks the plan replay: every transient has an
+ * allocation of its size, no two live allocations overlap, and the
+ * address peak is byte-identical to MemoryPlan::pool_peak_bytes.  Exit
+ * status is nonzero when the self-check fails, so CI can gate on it.
  *
  * usage: echo-trace [--model word_lm|nmt] [--policy off|auto]
  *                   [--iters N] [--out trace.json] [--csv footprint.csv]
@@ -134,39 +136,31 @@ runIterations(Model &model, Batcher &batcher, int64_t iters)
         });
 }
 
-/** Plan memory with a recorded timeline, replay it, and write the
- *  footprint CSV.  Returns false when the self-check fails. */
+/** Plan memory, replay the plan, and write the footprint CSV.  Returns
+ *  false when the self-check fails. */
 bool
 planAndReplay(const std::vector<graph::Val> &fetches,
               const std::vector<graph::Val> &weight_grads,
               const TraceOptions &opts)
 {
-    const memory::LivenessResult live =
-        memory::analyzeLiveness(fetches, weight_grads);
-    obs::MemoryTimeline timeline;
-    memory::PlannerOptions popts;
-    popts.timeline = &timeline;
-    const memory::MemoryPlan plan = memory::planMemory(live, popts);
-    const obs::TimelineReplay replay = obs::replayTimeline(timeline);
+    const memory::PlannedSchedule s =
+        memory::planSchedule(fetches, weight_grads);
+    const memory::MemoryPlan &plan = s.plan;
+    const memory::PlanReplay replay = memory::replayPlan(s.liveness, plan);
 
     std::cout << "memory plan: pool peak " << plan.pool_peak_bytes
               << " B at slot " << plan.peak_pos << ", persistent "
               << plan.persistent_bytes << " B\n"
-              << "timeline replay: live peak " << replay.live_peak_bytes
+              << "plan replay: live peak " << replay.live_peak_bytes
               << " B at slot " << replay.peak_pos << ", address peak "
               << replay.address_peak_bytes << " B, "
-              << timeline.events.size() << " events\n";
+              << plan.offsets.size() << " transients\n";
 
-    bool ok = true;
-    for (const std::string &v : replay.violations) {
-        std::cerr << "echo-trace: timeline violation: " << v << "\n";
-        ok = false;
-    }
-    if (replay.outstanding_bytes != 0) {
-        std::cerr << "echo-trace: timeline leaks "
-                  << replay.outstanding_bytes << " bytes\n";
-        ok = false;
-    }
+    bool ok = replay.ok();
+    if (!ok)
+        std::cerr << "echo-trace: plan replay found "
+                  << replay.findings.size()
+                  << " missing, undersized or overlapping allocation(s)\n";
     if (replay.address_peak_bytes != plan.pool_peak_bytes) {
         std::cerr << "echo-trace: replayed address peak "
                   << replay.address_peak_bytes
@@ -182,7 +176,10 @@ planAndReplay(const std::vector<graph::Val> &fetches,
                       << "\n";
             return false;
         }
-        obs::writeFootprintCsv(replay, csv);
+        csv << "pos,live_bytes,high_water_bytes\n";
+        for (const memory::FootprintPoint &p : replay.curve)
+            csv << p.pos << ',' << p.live_bytes << ','
+                << p.high_water_bytes << '\n';
         std::cout << "footprint curve written to " << opts.csv_path
                   << " (" << replay.curve.size() << " points)\n";
     }
@@ -270,12 +267,15 @@ main(int argc, char **argv)
     obs::stopTrace();
     std::cout << "trace written to " << opts.out_path << "\n";
 
-    std::cout << "\ncounters (D = deterministic, S = scheduling):\n";
+    // Deterministic counters go to stdout, which is then byte-stable
+    // across runs and thread counts; scheduling ones go to stderr.
+    std::cout << "\ncounters (D = deterministic; S = scheduling, on "
+                 "stderr):\n";
     for (const obs::CounterSample &c : obs::snapshotCounters()) {
-        std::cout << "  ["
-                  << (c.kind == obs::CounterKind::kDeterministic ? 'D'
-                                                                 : 'S')
-                  << "] " << c.name << " = " << c.value << "\n";
+        const bool det = c.kind == obs::CounterKind::kDeterministic;
+        (det ? std::cout : std::cerr)
+            << "  [" << (det ? 'D' : 'S') << "] " << c.name << " = "
+            << c.value << "\n";
     }
     return ok ? 0 : 1;
 }

@@ -258,10 +258,10 @@ ThreadPool::defaultNumThreads()
     if (const char *env = std::getenv("ECHO_NUM_THREADS")) {
         char *tail = nullptr;
         const long v = std::strtol(env, &tail, 10);
-        if (tail != env && *tail == '\0' && v >= 1 && v <= 512)
+        if (tail != env && *tail == '\0' && v >= 1 && v <= kMaxThreads)
             return static_cast<int>(v);
         ECHO_WARN("ignoring invalid ECHO_NUM_THREADS=\"", env,
-                  "\" (expected an integer in [1, 512])");
+                  "\" (expected an integer in [1, ", kMaxThreads, "])");
     }
     const unsigned hw = std::thread::hardware_concurrency();
     return hw == 0 ? 1 : static_cast<int>(hw);

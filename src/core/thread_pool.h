@@ -114,9 +114,14 @@ class ThreadPool
      */
     static ThreadPool &global();
 
+    /** Largest worker count ECHO_NUM_THREADS or a tool flag may ask
+     *  for. */
+    static constexpr int kMaxThreads = 512;
+
     /**
-     * ECHO_NUM_THREADS if set (clamped to [1, 512]; invalid values
-     * warn and are ignored), else std::thread::hardware_concurrency().
+     * ECHO_NUM_THREADS if set (an integer in [1, kMaxThreads]; invalid
+     * values warn and are ignored), else
+     * std::thread::hardware_concurrency().
      */
     static int defaultNumThreads();
 

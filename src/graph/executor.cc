@@ -9,10 +9,8 @@
 
 #include "core/logging.h"
 #include "core/thread_pool.h"
-#include "graph/gemm_keys.h"
 #include "obs/counters.h"
 #include "obs/trace.h"
-#include "tune/tuner.h"
 
 namespace echo::graph {
 
@@ -81,17 +79,6 @@ Executor::Executor(std::vector<Val> fetches, ExecMode mode)
         }
     for (const int slot : topo_.fetch_slots)
         ECHO_CHECK(slot >= 0, "fetch missing from schedule");
-
-    // Shape-specialized GEMM tuning: wire the cache-backed schedule
-    // registry (and, under ECHO_TUNE=search, the search-on-miss
-    // resolver), then resolve this schedule's GEMM shape set eagerly so
-    // searches run at construction time, not mid-iteration.
-    if (ops::tuneMode() != ops::TuneMode::kOff) {
-        tune::ensureGlobalTuner();
-        if (ops::tuneMode() == ops::TuneMode::kSearch)
-            tune::globalTuner().warmKeys(collectGemmKeys(
-                topo_.schedule, ThreadPool::global().numThreads()));
-    }
 }
 
 const Tensor &

@@ -9,7 +9,6 @@
 #include "obs/trace.h"
 #include "serve/beam.h"
 #include "tensor/pack_cache.h"
-#include "tune/tuner.h"
 
 namespace echo::serve {
 
@@ -165,14 +164,6 @@ std::unique_ptr<InferenceSession>
 InferenceSession::fromCheckpoint(const std::string &path,
                                  const SessionConfig &config)
 {
-    // Load the GEMM tuning cache (and install search-on-miss under
-    // ECHO_TUNE=search) before any stepper builds its executors, so
-    // the step graphs' per-token GEMMs run tuned from the first
-    // request — serving is exactly the workload whose skewed shapes
-    // (M = a few in-flight slots, N = vocab) the fixed schedule
-    // handles worst.
-    tune::ensureGlobalTuner();
-
     ParamStore params = models::loadParams(path);
     // Register every checkpoint tensor with the persistent pack cache
     // up front: serving weights never change version, so the panels

@@ -1,40 +1,16 @@
 /**
  * @file
- * Schedule legality, the tuned-schedule registry, and the per-call
- * resolution path (see gemm_schedule.h for the contract).
+ * Schedule legality and printing (see gemm_schedule.h for the
+ * contract).
  */
 #include "tensor/gemm_schedule.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
-#include <mutex>
-#include <shared_mutex>
 #include <sstream>
-#include <unordered_map>
-
-#include "core/logging.h"
-#include "obs/counters.h"
 
 namespace echo::ops {
 
 namespace {
-
-/** Registry state behind a read-mostly lock: gemm calls take the
- *  shared side; only tuning inserts take the exclusive side. */
-struct Registry
-{
-    std::shared_mutex mu;
-    std::unordered_map<GemmKey, GemmSchedule, GemmKeyHash> entries;
-    ScheduleResolver resolver;
-};
-
-Registry &
-registry()
-{
-    static Registry r;
-    return r;
-}
 
 bool
 inSet(int32_t v, const int32_t *set, size_t n)
@@ -69,25 +45,6 @@ GemmKey::toString() const
     return os.str();
 }
 
-size_t
-GemmKeyHash::operator()(const GemmKey &key) const
-{
-    // FNV-1a over the packed fields; good enough for a few dozen keys.
-    uint64_t h = 1469598103934665603ull;
-    auto mix = [&h](uint64_t v) {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (8 * i)) & 0xff;
-            h *= 1099511628211ull;
-        }
-    };
-    mix(static_cast<uint64_t>(key.m));
-    mix(static_cast<uint64_t>(key.n));
-    mix(static_cast<uint64_t>(key.k));
-    mix((key.trans_a ? 1ull : 0ull) | (key.trans_b ? 2ull : 0ull) |
-        (static_cast<uint64_t>(key.threads) << 2));
-    return static_cast<size_t>(h);
-}
-
 bool
 scheduleLegal(const GemmSchedule &s, bool trans_b, std::string *why)
 {
@@ -116,105 +73,6 @@ scheduleLegal(const GemmSchedule &s, bool trans_b, std::string *why)
     if (s.parallel_min_madds < 0)
         return fail("parallel_min_madds must be >= 0");
     return true;
-}
-
-TuneMode
-tuneMode()
-{
-    static const TuneMode mode = [] {
-        const char *env = std::getenv("ECHO_TUNE");
-        if (env == nullptr || *env == '\0' ||
-            std::strcmp(env, "cache") == 0)
-            return TuneMode::kCache;
-        if (std::strcmp(env, "off") == 0)
-            return TuneMode::kOff;
-        if (std::strcmp(env, "search") == 0)
-            return TuneMode::kSearch;
-        ECHO_WARN("ECHO_TUNE=", env,
-                  " is not off|cache|search; using cache");
-        return TuneMode::kCache;
-    }();
-    return mode;
-}
-
-std::optional<GemmSchedule>
-findTunedSchedule(const GemmKey &key)
-{
-    Registry &r = registry();
-    std::shared_lock lock(r.mu);
-    auto it = r.entries.find(key);
-    if (it == r.entries.end())
-        return std::nullopt;
-    return it->second;
-}
-
-void
-setTunedSchedule(const GemmKey &key, const GemmSchedule &schedule)
-{
-    std::string why;
-    ECHO_REQUIRE(scheduleLegal(schedule, key.trans_b, &why),
-                 "illegal schedule for ", key.toString(), ": ", why);
-    Registry &r = registry();
-    std::unique_lock lock(r.mu);
-    r.entries[key] = schedule;
-}
-
-size_t
-tunedScheduleCount()
-{
-    Registry &r = registry();
-    std::shared_lock lock(r.mu);
-    return r.entries.size();
-}
-
-void
-clearTunedSchedulesForTest()
-{
-    Registry &r = registry();
-    std::unique_lock lock(r.mu);
-    r.entries.clear();
-}
-
-void
-setScheduleResolver(ScheduleResolver resolver)
-{
-    Registry &r = registry();
-    std::unique_lock lock(r.mu);
-    r.resolver = std::move(resolver);
-}
-
-GemmSchedule
-scheduleForCall(int64_t m, int64_t n, int64_t k, bool trans_a,
-                bool trans_b, int threads)
-{
-    if (tuneMode() == TuneMode::kOff)
-        return GemmSchedule::fixedDefault();
-
-    // Hit/miss totals vary with the thread count (it is part of the
-    // key), so these are scheduling-class counters.
-    static obs::Counter &hits =
-        obs::counter("tune.sched_hit", obs::CounterKind::kScheduling);
-    static obs::Counter &misses =
-        obs::counter("tune.sched_miss", obs::CounterKind::kScheduling);
-
-    const GemmKey key{m, n, k, trans_a, trans_b, threads};
-    if (auto tuned = findTunedSchedule(key)) {
-        hits.add(1);
-        return *tuned;
-    }
-    misses.add(1);
-
-    ScheduleResolver resolver;
-    {
-        Registry &r = registry();
-        std::shared_lock lock(r.mu);
-        resolver = r.resolver;
-    }
-    if (resolver) {
-        if (auto resolved = resolver(key))
-            return *resolved;
-    }
-    return GemmSchedule::fixedDefault();
 }
 
 } // namespace echo::ops

@@ -1,41 +1,36 @@
 /**
  * @file
- * GEMM schedules: the parameter space the autotuner searches, plus the
- * process-wide registry of tuned (shape -> schedule) decisions that
- * ops::gemm consults on every call.
+ * GEMM schedules: the parameter space of the blocked kernel.
  *
- * A GemmSchedule captures everything the blocked kernel used to hard
- * code: cache blocking (mc/kc/nc), the register micro-tile (mr x nr,
- * from a small legal set with a compiled kernel per pair), the packing
- * strategy for B (packed micro-panels vs reading B in place), the
- * macro loop order, which dimension to parallelize (row blocks, column
- * blocks, or the bmm batch), and the madds threshold below which the
- * kernel stays serial.
+ * A GemmSchedule captures everything the blocked kernel would
+ * otherwise hard code: cache blocking (mc/kc/nc), the register
+ * micro-tile (mr x nr, from a small legal set with a compiled kernel
+ * per pair), the packing strategy for B (packed micro-panels vs
+ * reading B in place), the macro loop order, which dimension to
+ * parallelize (row blocks, column blocks, or the bmm batch), and the
+ * madds threshold below which the kernel stays serial.
  *
- * Bitwise contract (the property the whole tuner rests on): every
- * legal schedule produces output BYTE-IDENTICAL to gemmReference().
- * The micro-kernel loads the current C tile into its accumulator
- * before the depth loop and stores it back after, so each C element is
- * one serial sum over K in ascending order — the same chain of float
- * operations as the reference ikj loop, regardless of where kc panel
- * boundaries fall, which micro-tile computes the element, or which
- * thread ran it.  Tuning can therefore never change results, only
- * speed, and results stay byte-identical across thread counts AND
- * across schedule choices.
+ * ops::gemm and ops::bmm always run GemmSchedule::fixedDefault().
+ * Every other legal schedule is reachable only through
+ * gemmWithSchedule / bmmWithSchedule: the contract tests draw from the
+ * whole space, and bench/gemm_autotune sweeps it (tune/search_space.h,
+ * tune/measure.h) to measure what a shape-specialized schedule would
+ * buy over the default.
  *
- * The registry maps GemmKey (M, N, K, transposes, thread count) to a
- * schedule.  The on-disk cache, the search, and the measurement
- * harness live in src/tune; this header stays dependency-free so the
- * tensor library does not link the tuner.  src/tune installs a
- * resolver callback that ops::gemm invokes on a registry miss when
- * ECHO_TUNE=search (tune-on-first-miss).
+ * Bitwise contract: every legal schedule produces output BYTE-IDENTICAL
+ * to gemmReference().  The micro-kernel loads the current C tile into
+ * its accumulator before the depth loop and stores it back after, so
+ * each C element is one serial sum over K in ascending order — the
+ * same chain of float operations as the reference ikj loop, regardless
+ * of where kc panel boundaries fall, which micro-tile computes the
+ * element, or which thread ran it.  A schedule can therefore change
+ * only speed, never results, and results stay byte-identical across
+ * thread counts AND across schedule choices.
  */
 #ifndef ECHO_TENSOR_GEMM_SCHEDULE_H
 #define ECHO_TENSOR_GEMM_SCHEDULE_H
 
 #include <cstdint>
-#include <functional>
-#include <optional>
 #include <string>
 
 namespace echo::ops {
@@ -59,7 +54,7 @@ enum class GemmPackB : uint8_t {
 /** Which dimension the kernel splits across the thread pool. */
 enum class GemmParallel : uint8_t {
     kNone = 0, ///< always serial
-    kRows = 1, ///< split M row blocks (the pre-tuner behaviour)
+    kRows = 1, ///< split M row blocks (the default)
     /** Split N column blocks — the only useful axis for skewed shapes
      *  like the vocab projection (M=32, N=10000) whose single row
      *  block used to run serial. */
@@ -67,9 +62,9 @@ enum class GemmParallel : uint8_t {
 };
 
 /**
- * One point in the GEMM schedule space.  Defaults reproduce the fixed
- * pre-tuner kernel exactly (64/256/512 blocking, 8x16 micro-tile,
- * packed B, N-outer, row-parallel above 2^17 madds).
+ * One point in the GEMM schedule space.  The defaults are the schedule
+ * ops::gemm runs (64/256/512 blocking, 8x16 micro-tile, packed B,
+ * N-outer, row-parallel above 2^17 madds).
  */
 struct GemmSchedule
 {
@@ -86,14 +81,14 @@ struct GemmSchedule
     /** bmm: parallelize over the batch (per-item GEMMs serial) when
      *  the whole product clears the threshold. */
     uint8_t batch_parallel = 1;
-    /** Products below this many madds stay serial — searched, so tiny
-     *  per-step decode GEMMs stop paying dispatch overhead. */
+    /** Products below this many madds stay serial, so tiny per-step
+     *  decode GEMMs need not pay dispatch overhead. */
     int64_t parallel_min_madds = int64_t(1) << 17;
 
-    /** The fixed pre-tuner schedule (also the search's seed point). */
+    /** The schedule ops::gemm/bmm run (always a search candidate). */
     static GemmSchedule fixedDefault() { return GemmSchedule{}; }
 
-    /** Compact "mc/kc/nc mr x nr ..." form for logs and cache files. */
+    /** Compact "mc/kc/nc mr x nr ..." form for logs and bench rows. */
     std::string toString() const;
 
     friend bool operator==(const GemmSchedule &,
@@ -121,10 +116,9 @@ bool scheduleLegal(const GemmSchedule &s, bool trans_b,
                    std::string *why = nullptr);
 
 /**
- * Identity of one tuned decision: the GEMM geometry plus the thread
- * count it was measured under (the best schedule at 1 thread and at 8
- * differ).  The ISA dimension of the on-disk key is handled by the
- * cache layer — within one process the ISA is fixed.
+ * One GEMM geometry plus the thread count it runs under (the best
+ * schedule at 1 thread and at 8 differ) — the key the schedule search
+ * space is enumerated and measured for.
  */
 struct GemmKey
 {
@@ -140,60 +134,13 @@ struct GemmKey
     std::string toString() const;
 };
 
-struct GemmKeyHash
-{
-    size_t operator()(const GemmKey &key) const;
-};
-
-/** ECHO_TUNE modes (see tuneMode()). */
-enum class TuneMode {
-    kOff,    ///< always the fixed default schedule; registry bypassed
-    kCache,  ///< use tuned entries when present, never measure
-    kSearch, ///< tune-on-first-miss via the installed resolver
-};
-
-/** Parsed once from ECHO_TUNE (off|cache|search; default cache). */
-TuneMode tuneMode();
-
-/** Registry lookup; nullopt when the key was never tuned. */
-std::optional<GemmSchedule> findTunedSchedule(const GemmKey &key);
-
-/** Insert/overwrite one tuned decision. @pre scheduleLegal(...) */
-void setTunedSchedule(const GemmKey &key, const GemmSchedule &schedule);
-
-/** Number of registered tuned decisions. */
-size_t tunedScheduleCount();
-
-/** Drop every tuned decision (tests). */
-void clearTunedSchedulesForTest();
-
-/**
- * Resolver invoked by ops::gemm on a registry miss in kSearch mode.
- * Installed by tune::ensureGlobalTuner(); returns the schedule to use
- * (and is expected to also setTunedSchedule() so the search runs
- * once).  Returning nullopt falls back to the fixed default.
- */
-using ScheduleResolver =
-    std::function<std::optional<GemmSchedule>(const GemmKey &)>;
-void setScheduleResolver(ScheduleResolver resolver);
-
-/**
- * The schedule ops::gemm/bmm will use for this geometry right now:
- * kOff -> fixed default; otherwise registry hit, else resolver (search
- * mode), else fixed default.  Ticks the tune.sched_hit/miss counters.
- * @p threads should be the global pool's thread count.
- */
-GemmSchedule scheduleForCall(int64_t m, int64_t n, int64_t k,
-                             bool trans_a, bool trans_b, int threads);
-
 /**
  * Name of the SIMD ISA the GEMM kernel was compiled for ("avx512",
- * "avx2", "sse2", "neon", or "scalar") and its vector width in bytes.
- * Defined in ops_gemm.cc so the answer reflects the kernel's actual
- * compile flags (-march=native applies to that TU only).
+ * "avx2", "sse2", "neon", or "scalar").  Defined in ops_gemm.cc so the
+ * answer reflects the kernel's actual compile flags (-march=native
+ * applies to that TU only).
  */
 const char *gemmIsaName();
-int gemmVectorWidthBytes();
 
 } // namespace echo::ops
 

@@ -29,15 +29,14 @@ namespace echo::ops {
 /**
  * General matrix multiply: C = alpha * op(A) * op(B), where op() is an
  * optional transpose.  A is [M x K] after op, B is [K x N] after op.
- * Runs under the schedule the tuner registered for this geometry (see
- * tensor/gemm_schedule.h), falling back to the fixed default.
+ * Runs under GemmSchedule::fixedDefault() (see tensor/gemm_schedule.h).
  */
 Tensor gemm(const Tensor &a, bool trans_a, const Tensor &b, bool trans_b,
             float alpha = 1.0f);
 
 /**
- * gemm() under an explicit schedule, bypassing the tuned registry —
- * the tuner's measurement harness and the schedule tests use this.
+ * gemm() under an explicit schedule — the schedule measurement harness
+ * (tune/measure.h) and the schedule tests use this.
  * Dies if @p schedule is illegal for the operand layout.  Results are
  * byte-identical to gemmReference() for every legal schedule.
  */
@@ -56,7 +55,8 @@ Tensor gemmReference(const Tensor &a, bool trans_a, const Tensor &b,
 
 /**
  * Batched matrix multiply over the leading axis:
- * C[b] = op(A[b]) * op(B[b]) for 3-D A, B.
+ * C[b] = op(A[b]) * op(B[b]) for 3-D A, B, under the fixed default
+ * schedule.
  */
 Tensor bmm(const Tensor &a, bool trans_a, const Tensor &b, bool trans_b);
 

@@ -33,9 +33,11 @@
  * deliberately no data-dependent skipping (the seed kernel's
  * `if (av == 0) continue;` made GEMM cost input-dependent).
  *
+ * ops::gemm and ops::bmm always run GemmSchedule::fixedDefault(); the
+ * other schedules are reached only through gemmWithSchedule and
+ * bmmWithSchedule (the contract tests and bench/gemm_autotune).
  * gemmReference() keeps the plain ikj loop as the golden model: tests
- * byte-compare every schedule against it, and the tuner refuses to
- * cache a schedule that does not match it bitwise.
+ * and bench/gemm_autotune byte-compare every schedule against it.
  */
 #include <algorithm>
 #include <cmath>
@@ -137,7 +139,7 @@ using detail::packBPanel;
  * indexing is what lets the compiler keep the whole accumulator tile
  * in vector registers: an i-LOOP over acc[i][j] (even with constant
  * bounds) spills the tile and runs ~17x slower on GCC (measured; the
- * pre-tuner kernel used eight named arrays for the same reason).
+ * original fixed kernel used eight named arrays for the same reason).
  *
  * The accumulate is an EXPLICIT std::fma, not `acc += a * b`: under
  * the default -ffp-contract=fast the compiler contracts mul+add into
@@ -496,28 +498,15 @@ gemmIsaName()
 #endif
 }
 
-int
-gemmVectorWidthBytes()
-{
-#if defined(__AVX512F__)
-    return 64;
-#elif defined(__AVX2__)
-    return 32;
-#elif defined(__SSE2__) || defined(_M_X64) || defined(__ARM_NEON)
-    return 16;
-#else
-    return 4;
-#endif
-}
+namespace {
 
+/** The blocked kernel under @p sch, which the caller has checked. */
 Tensor
-gemm(const Tensor &a, bool trans_a, const Tensor &b, bool trans_b,
-     float alpha)
+gemmScheduled(const Tensor &a, bool trans_a, const Tensor &b,
+              bool trans_b, float alpha, const GemmSchedule &sch)
 {
     int64_t m, n, k;
     checkGemmOperands(a, trans_a, b, trans_b, m, n, k);
-    const GemmSchedule sch = scheduleForCall(
-        m, n, k, trans_a, trans_b, ThreadPool::global().numThreads());
     CachedPack a_pack, b_pack;
     CachedPackHold a_hold, b_hold;
     lookupCachedPacks(a, trans_a, b, trans_b, m, n, k, alpha, sch,
@@ -526,25 +515,26 @@ gemm(const Tensor &a, bool trans_a, const Tensor &b, bool trans_b,
     gemmBlocked(a.data(), trans_a, b.data(), trans_b, c.data(), m, n, k,
                 alpha, sch, /*allow_parallel=*/true, a_pack, b_pack);
     return c;
+}
+
+} // namespace
+
+Tensor
+gemm(const Tensor &a, bool trans_a, const Tensor &b, bool trans_b,
+     float alpha)
+{
+    return gemmScheduled(a, trans_a, b, trans_b, alpha,
+                         GemmSchedule::fixedDefault());
 }
 
 Tensor
 gemmWithSchedule(const Tensor &a, bool trans_a, const Tensor &b,
                  bool trans_b, float alpha, const GemmSchedule &sch)
 {
-    int64_t m, n, k;
-    checkGemmOperands(a, trans_a, b, trans_b, m, n, k);
     std::string why;
     ECHO_REQUIRE(scheduleLegal(sch, trans_b, &why),
                  "illegal GEMM schedule [", sch.toString(), "]: ", why);
-    CachedPack a_pack, b_pack;
-    CachedPackHold a_hold, b_hold;
-    lookupCachedPacks(a, trans_a, b, trans_b, m, n, k, alpha, sch,
-                      a_pack, b_pack, a_hold, b_hold);
-    Tensor c = Tensor::zeros(Shape({m, n}));
-    gemmBlocked(a.data(), trans_a, b.data(), trans_b, c.data(), m, n, k,
-                alpha, sch, /*allow_parallel=*/true, a_pack, b_pack);
-    return c;
+    return gemmScheduled(a, trans_a, b, trans_b, alpha, sch);
 }
 
 Tensor
@@ -573,14 +563,8 @@ gemmReference(const Tensor &a, bool trans_a, const Tensor &b,
 Tensor
 bmm(const Tensor &a, bool trans_a, const Tensor &b, bool trans_b)
 {
-    ECHO_REQUIRE(a.shape().ndim() == 3 && b.shape().ndim() == 3,
-                 "bmm needs 3-D operands");
-    const int64_t m = trans_a ? a.shape()[2] : a.shape()[1];
-    const int64_t k = trans_a ? a.shape()[1] : a.shape()[2];
-    const int64_t n = trans_b ? b.shape()[1] : b.shape()[2];
-    const GemmSchedule sch = scheduleForCall(
-        m, n, k, trans_a, trans_b, ThreadPool::global().numThreads());
-    return bmmWithSchedule(a, trans_a, b, trans_b, sch);
+    return bmmWithSchedule(a, trans_a, b, trans_b,
+                           GemmSchedule::fixedDefault());
 }
 
 Tensor

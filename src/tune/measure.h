@@ -1,6 +1,6 @@
 /**
  * @file
- * The tuner's measurement harness: wall-clock timing of one candidate
+ * The schedule measurement harness: wall-clock timing of one candidate
  * schedule on one GEMM geometry.
  *
  * Follows the bench-harness idiom: fixed-seed operands (so every

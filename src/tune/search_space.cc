@@ -197,9 +197,9 @@ enumerateCandidates(const ops::GemmKey &key, int max_candidates)
     if (static_cast<int>(scored.size()) > max_candidates)
         scored.resize(static_cast<size_t>(max_candidates));
 
-    // The fixed default is always measured: the tuner must never pick
-    // something worse than the pre-tuner kernel because the cost model
-    // pruned the baseline away.
+    // The fixed default is always measured: a search must never pick
+    // something worse than the default because the cost model pruned
+    // the baseline away.
     const ops::GemmSchedule fixed = ops::GemmSchedule::fixedDefault();
     const bool have_fixed =
         std::any_of(scored.begin(), scored.end(),

@@ -34,7 +34,7 @@ struct ScoredSchedule
 /**
  * The pruned candidate list for @p key: the @p max_candidates
  * best-scoring legal schedules, always including the fixed default
- * (so measurement can never regress past the pre-tuner kernel).
+ * (so a search can never regress past the schedule ops::gemm runs).
  * Ordered best-first by modelled cost.
  */
 std::vector<ScoredSchedule> enumerateCandidates(const ops::GemmKey &key,

@@ -550,8 +550,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PassFuzz,
 
 // ---------------------------------------------------------------------
 // GEMM schedule fuzz: ANY randomly drawn legal schedule must be
-// bit-exact against gemmReference — the property the autotuner's
-// correctness rests on (tuning can only change speed, never a bit).
+// bit-exact against gemmReference — the property the schedule space
+// rests on (a schedule can only change speed, never a bit).
 // ---------------------------------------------------------------------
 
 class GemmScheduleFuzz : public ::testing::TestWithParam<uint64_t>

@@ -1,12 +1,10 @@
 /**
  * @file
- * Tests for the data-layout optimizer (the binary [TxBxH] vs [TxHxB]
- * decision) and the autotuning microbenchmark (§5.4).
+ * Tests for the autotuning microbenchmark (§5.4).
  */
 #include <gtest/gtest.h>
 
 #include "layout/autotuner.h"
-#include "layout/layout_optimizer.h"
 
 namespace echo::layout {
 namespace {
@@ -26,12 +24,6 @@ makeSpec(int64_t batch, int64_t hidden, int64_t layers = 1,
     s.batch = batch;
     s.seq_len = seq_len;
     return s;
-}
-
-TEST(LayoutOptimizer, Names)
-{
-    EXPECT_STREQ(layoutName(RnnLayout::kTBH), "[TxBxH]");
-    EXPECT_STREQ(layoutName(RnnLayout::kTHB), "[TxHxB]");
 }
 
 TEST(Autotuner, PicksEcoOnSkewedHyperparameters)

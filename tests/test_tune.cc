@@ -1,20 +1,13 @@
 /**
  * @file
- * Tests of the GEMM autotuner stack: schedule legality, the bitwise
+ * Tests of the GEMM schedule space: schedule legality, the bitwise
  * contract (every legal schedule byte-identical to gemmReference,
  * across micro-tiles, packing modes, loop orders, parallel axes, and
- * thread counts), the persistent cache's robustness guarantees, and
- * the search/warm-cache flow (a warm cache performs zero measurement
- * runs).
+ * thread counts), candidate enumeration, and the measurement harness.
  */
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
-#include <cstdio>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -22,10 +15,8 @@
 #include "core/thread_pool.h"
 #include "obs/counters.h"
 #include "tensor/ops.h"
-#include "tune/cache.h"
 #include "tune/measure.h"
 #include "tune/search_space.h"
-#include "tune/tuner.h"
 
 namespace echo::tune {
 namespace {
@@ -33,11 +24,9 @@ namespace {
 class TuneTest : public ::testing::Test
 {
   protected:
-    void SetUp() override { ops::clearTunedSchedulesForTest(); }
     void
     TearDown() override
     {
-        ops::clearTunedSchedulesForTest();
         ThreadPool::setGlobalNumThreads(ThreadPool::defaultNumThreads());
     }
 };
@@ -71,29 +60,6 @@ operands(int64_t m, int64_t n, int64_t k, bool ta, bool tb,
     return {Tensor::uniform(ta ? Shape({k, m}) : Shape({m, k}), rng),
             Tensor::uniform(tb ? Shape({n, k}) : Shape({k, n}), rng)};
 }
-
-/** A scratch directory per test, removed on destruction. */
-struct ScratchDir
-{
-    std::filesystem::path path;
-    explicit ScratchDir(const std::string &name)
-    {
-        path = std::filesystem::temp_directory_path() /
-               ("echo_tune_test_" + name + "_" +
-                std::to_string(::getpid()));
-        std::filesystem::create_directories(path);
-    }
-    ~ScratchDir()
-    {
-        std::error_code ec;
-        std::filesystem::remove_all(path, ec);
-    }
-    std::string
-    file(const std::string &name) const
-    {
-        return (path / name).string();
-    }
-};
 
 // ------------------------------------------------------- legality --
 
@@ -315,163 +281,6 @@ TEST_F(TuneTest, BmmMatchesPerItemGemmUnderAnySchedule)
     }
 }
 
-// ------------------------------------------------------- registry --
-
-TEST_F(TuneTest, RegistryRoundTripAndCounters)
-{
-    const ops::GemmKey key{12, 34, 56, false, true, 1};
-    EXPECT_FALSE(ops::findTunedSchedule(key).has_value());
-
-    ops::GemmSchedule s;
-    s.mr = 4;
-    s.nr = 8;
-    s.mc = 8;
-    s.nc = 16;
-    ops::setTunedSchedule(key, s);
-    ASSERT_TRUE(ops::findTunedSchedule(key).has_value());
-    EXPECT_EQ(*ops::findTunedSchedule(key), s);
-    EXPECT_EQ(ops::tunedScheduleCount(), 1u);
-
-    const int64_t hits_before =
-        obs::counter("tune.sched_hit", obs::CounterKind::kScheduling)
-            .value();
-    const ops::GemmSchedule got = ops::scheduleForCall(
-        key.m, key.n, key.k, key.trans_a, key.trans_b, key.threads);
-    EXPECT_EQ(got, s);
-    EXPECT_EQ(obs::counter("tune.sched_hit",
-                           obs::CounterKind::kScheduling)
-                  .value(),
-              hits_before + 1);
-}
-
-TEST_F(TuneTest, SetTunedScheduleRejectsIllegal)
-{
-    ops::GemmSchedule s;
-    s.pack_b = ops::GemmPackB::kDirect;
-    EXPECT_DEATH(
-        ops::setTunedSchedule({4, 4, 4, false, true, 1}, s),
-        "illegal schedule");
-}
-
-// ---------------------------------------------------------- cache --
-
-CacheEntry
-sampleEntry(int64_t m = 32, const char *isa = "avx512")
-{
-    CacheEntry e;
-    e.key = {m, 10000, 650, false, true, 1};
-    e.isa = isa;
-    e.vector_width_bytes = 64;
-    e.schedule.mr = 4;
-    e.schedule.nr = 16;
-    e.schedule.mc = 32;
-    e.schedule.kc = 512;
-    e.schedule.nc = 4096;
-    e.schedule.loop_order = ops::GemmLoopOrder::kKOuter;
-    e.schedule.parallel = ops::GemmParallel::kNone;
-    e.schedule.parallel_min_madds = 0;
-    return e;
-}
-
-TEST_F(TuneTest, CacheRoundTrip)
-{
-    ScratchDir dir("roundtrip");
-    const std::string path = dir.file("cache");
-    const std::vector<CacheEntry> entries{sampleEntry(32),
-                                          sampleEntry(64, "avx2")};
-    ASSERT_TRUE(saveTuneCache(path, entries));
-
-    const CacheLoadResult loaded = loadTuneCache(path);
-    EXPECT_TRUE(loaded.ok);
-    EXPECT_TRUE(loaded.existed);
-    EXPECT_EQ(loaded.rejected, 0);
-    ASSERT_EQ(loaded.entries.size(), 2u);
-    EXPECT_EQ(loaded.entries[0], entries[0]);
-    EXPECT_EQ(loaded.entries[1], entries[1]);
-}
-
-TEST_F(TuneTest, MissingCacheIsNotAnError)
-{
-    const CacheLoadResult loaded =
-        loadTuneCache("/nonexistent/echo-tune-cache");
-    EXPECT_TRUE(loaded.ok);
-    EXPECT_FALSE(loaded.existed);
-    EXPECT_TRUE(loaded.entries.empty());
-}
-
-TEST_F(TuneTest, WrongVersionFailsTheLoad)
-{
-    ScratchDir dir("version");
-    const std::string path = dir.file("cache");
-    {
-        std::ofstream out(path);
-        out << "echo-tune-cache 999\n" << cacheLine(sampleEntry())
-            << "\n";
-    }
-    const CacheLoadResult loaded = loadTuneCache(path);
-    EXPECT_FALSE(loaded.ok);
-    EXPECT_TRUE(loaded.existed);
-    EXPECT_TRUE(loaded.entries.empty());
-}
-
-TEST_F(TuneTest, TruncatedEntryIsRejectedRestLoads)
-{
-    ScratchDir dir("truncated");
-    const std::string path = dir.file("cache");
-    {
-        std::ofstream out(path);
-        out << "echo-tune-cache 1\n";
-        out << cacheLine(sampleEntry(32)) << "\n";
-        const std::string full = cacheLine(sampleEntry(64));
-        out << full.substr(0, full.size() / 2) << "\n"; // torn write
-    }
-    const CacheLoadResult loaded = loadTuneCache(path);
-    EXPECT_TRUE(loaded.ok);
-    EXPECT_EQ(loaded.rejected, 1);
-    ASSERT_EQ(loaded.entries.size(), 1u);
-    EXPECT_EQ(loaded.entries[0].key.m, 32);
-}
-
-TEST_F(TuneTest, CorruptFieldFailsChecksum)
-{
-    const std::string line = cacheLine(sampleEntry());
-    // Flip one digit of the first field (m=32 -> m=33): the checksum
-    // over the prefix must catch it.
-    std::string tampered = line;
-    const auto pos = tampered.find("32");
-    ASSERT_NE(pos, std::string::npos);
-    tampered[pos + 1] = '3';
-    CacheEntry out;
-    EXPECT_TRUE(parseCacheLine(line, &out));
-    EXPECT_FALSE(parseCacheLine(tampered, &out));
-}
-
-TEST_F(TuneTest, IllegalScheduleInCacheIsRejected)
-{
-    CacheEntry bad = sampleEntry();
-    bad.schedule.pack_b = ops::GemmPackB::kDirect; // illegal: trans_b
-    CacheEntry out;
-    EXPECT_FALSE(parseCacheLine(cacheLine(bad), &out));
-}
-
-TEST_F(TuneTest, SaveIsAtomicNoTmpLeftBehind)
-{
-    ScratchDir dir("atomic");
-    const std::string path = dir.file("cache");
-    ASSERT_TRUE(saveTuneCache(path, {sampleEntry()}));
-    ASSERT_TRUE(saveTuneCache(path, {sampleEntry(64)})); // overwrite
-    int files = 0;
-    for (const auto &entry :
-         std::filesystem::directory_iterator(dir.path)) {
-        (void)entry;
-        ++files;
-    }
-    EXPECT_EQ(files, 1) << "tmp file left behind";
-    const CacheLoadResult loaded = loadTuneCache(path);
-    ASSERT_EQ(loaded.entries.size(), 1u);
-    EXPECT_EQ(loaded.entries[0].key.m, 64);
-}
-
 // --------------------------------------------------- search space --
 
 TEST_F(TuneTest, CandidatesAreLegalDedupedAndIncludeFixed)
@@ -510,93 +319,24 @@ TEST_F(TuneTest, SingleThreadKeyEnumeratesNoParallelSchedules)
     }
 }
 
-// --------------------------------------------------------- tuner --
-
-TEST_F(TuneTest, SearchThenWarmCacheRunsZeroMeasurements)
-{
-    ScratchDir dir("tuner");
-    TuneOptions opts;
-    opts.cache_path = dir.file("cache");
-    opts.max_candidates = 4;
-    opts.warmup = 0;
-    opts.reps = 1;
-
-    obs::Counter &measure_runs = obs::counter(
-        "tune.measure_runs", obs::CounterKind::kScheduling);
-    const ops::GemmKey key{9, 33, 17, false, false, 1};
-
-    {
-        Autotuner tuner(opts);
-        const int64_t before = measure_runs.value();
-        const ops::GemmSchedule best = tuner.resolve(key);
-        EXPECT_GT(measure_runs.value(), before) << "search measured";
-        std::string why;
-        EXPECT_TRUE(ops::scheduleLegal(best, key.trans_b, &why)) << why;
-        // The decision is registered: gemm's own path now hits.
-        ASSERT_TRUE(ops::findTunedSchedule(key).has_value());
-        EXPECT_EQ(*ops::findTunedSchedule(key), best);
-        // Resolving again searches nothing.
-        const int64_t after_search = measure_runs.value();
-        EXPECT_EQ(tuner.resolve(key), best);
-        EXPECT_EQ(measure_runs.value(), after_search);
-    }
-
-    // "Second process": fresh registry, fresh tuner over the same
-    // cache file — zero measurement runs, same decision.
-    ops::clearTunedSchedulesForTest();
-    {
-        Autotuner tuner(opts);
-        const int64_t before = measure_runs.value();
-        const ops::GemmSchedule best = tuner.resolve(key);
-        EXPECT_EQ(measure_runs.value(), before)
-            << "warm cache must not measure";
-        ASSERT_TRUE(ops::findTunedSchedule(key).has_value());
-        EXPECT_EQ(*ops::findTunedSchedule(key), best);
-    }
-}
-
-TEST_F(TuneTest, WarmKeysCountsOnlySearchedKeys)
-{
-    ScratchDir dir("warm");
-    TuneOptions opts;
-    opts.cache_path = dir.file("cache");
-    opts.max_candidates = 2;
-    opts.warmup = 0;
-    opts.reps = 1;
-    Autotuner tuner(opts);
-
-    const std::vector<ops::GemmKey> keys{{5, 6, 7, false, false, 1},
-                                         {6, 7, 8, false, true, 1}};
-    EXPECT_EQ(tuner.warmKeys(keys), 2);
-    EXPECT_EQ(tuner.warmKeys(keys), 0); // already tuned
-    EXPECT_EQ(ops::tunedScheduleCount(), 2u);
-}
-
+/** Every candidate the search space offers for a shape — the set
+ *  bench/gemm_autotune measures — is byte-identical to the reference
+ *  under 1-, 2- and 4-thread pools.  (Gemm.BitIdenticalAcrossThreadCounts
+ *  covers ops::gemm's fixed default.) */
 TEST_F(TuneTest, TunedResultsAreByteIdenticalAcrossThreadCounts)
 {
-    ScratchDir dir("threads");
-    TuneOptions opts;
-    opts.cache_path = dir.file("cache");
-    opts.max_candidates = 6;
-    opts.warmup = 0;
-    opts.reps = 1;
-    Autotuner tuner(opts);
-
-    const ops::GemmKey key{33, 65, 40, false, false, 1};
-    const TuneOutcome outcome = tuner.tuneKey(key);
+    const ops::GemmKey key{33, 65, 40, false, false, 4};
     const auto [a, b] =
         operands(key.m, key.n, key.k, key.trans_a, key.trans_b, 21);
     const Tensor want = ops::gemmReference(a, false, b, false);
-    for (const int threads : {1, 2, 4}) {
-        ThreadPool::setGlobalNumThreads(threads);
-        ASSERT_TRUE(bytesEqual(want,
-                               ops::gemmWithSchedule(a, false, b, false,
-                                                     1.0f, outcome.best)))
-            << "threads " << threads;
-        // And through the registry-resolving public entry point.
-        ASSERT_TRUE(bytesEqual(want, ops::gemm(a, false, b, false)))
-            << "threads " << threads;
-    }
+    for (const ScoredSchedule &c : enumerateCandidates(key, 6))
+        for (const int threads : {1, 2, 4}) {
+            ThreadPool::setGlobalNumThreads(threads);
+            ASSERT_TRUE(bytesEqual(
+                want, ops::gemmWithSchedule(a, false, b, false, 1.0f,
+                                            c.schedule)))
+                << c.schedule.toString() << " threads " << threads;
+        }
 }
 
 TEST_F(TuneTest, MeasureScheduleTicksCounter)

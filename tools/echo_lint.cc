@@ -317,6 +317,34 @@ replayPipeline(graph::Graph &g, const std::string &title,
     return report.ok() ? 0 : 1;
 }
 
+/** The word-LM size every echo-lint mode checks. */
+models::WordLmConfig
+lintWordLmConfig()
+{
+    models::WordLmConfig cfg;
+    cfg.vocab = 120;
+    cfg.hidden = 16;
+    cfg.layers = 2;
+    cfg.batch = 4;
+    cfg.seq_len = 10;
+    return cfg;
+}
+
+/** The NMT size every echo-lint mode checks. */
+models::NmtConfig
+lintNmtConfig()
+{
+    models::NmtConfig cfg;
+    cfg.src_vocab = 60;
+    cfg.tgt_vocab = 70;
+    cfg.hidden = 16;
+    cfg.enc_layers = 1;
+    cfg.batch = 3;
+    cfg.src_len = 8;
+    cfg.tgt_len = 8;
+    return cfg;
+}
+
 int
 lintPipelines(const LintOptions &opts)
 {
@@ -336,29 +364,15 @@ lintPipelines(const LintOptions &opts)
 
     int failures = 0;
     if (opts.model == "word_lm" || opts.model == "all") {
-        models::WordLmConfig cfg;
-        cfg.vocab = 120;
-        cfg.hidden = 16;
-        cfg.layers = 2;
-        cfg.batch = 4;
-        cfg.seq_len = 10;
         // Spec "none": the constructor leaves the forward graph
         // untouched so the replay below owns every transform.
-        models::WordLmModel model(cfg, "none");
+        models::WordLmModel model(lintWordLmConfig(), "none");
         failures += replayPipeline(model.graph(), "word_lm",
                                    model.loss(), model.weights(), spec,
                                    opts);
     }
     if (opts.model == "nmt" || opts.model == "all") {
-        models::NmtConfig cfg;
-        cfg.src_vocab = 60;
-        cfg.tgt_vocab = 70;
-        cfg.hidden = 16;
-        cfg.enc_layers = 1;
-        cfg.batch = 3;
-        cfg.src_len = 8;
-        cfg.tgt_len = 8;
-        models::NmtModel model(cfg, "none");
+        models::NmtModel model(lintNmtConfig(), "none");
         failures += replayPipeline(model.graph(), "nmt", model.loss(),
                                    model.weights(), spec, opts);
     }
@@ -454,26 +468,12 @@ main(int argc, char **argv)
     bool dot_written = false;
 
     if (opts.model == "word_lm" || opts.model == "all") {
-        models::WordLmConfig cfg;
-        cfg.vocab = 120;
-        cfg.hidden = 16;
-        cfg.layers = 2;
-        cfg.batch = 4;
-        cfg.seq_len = 10;
-        models::WordLmModel model(cfg);
+        models::WordLmModel model(lintWordLmConfig());
         failures +=
             lintModel(model, "word_lm", opts, dot_written);
     }
     if (opts.model == "nmt" || opts.model == "all") {
-        models::NmtConfig cfg;
-        cfg.src_vocab = 60;
-        cfg.tgt_vocab = 70;
-        cfg.hidden = 16;
-        cfg.enc_layers = 1;
-        cfg.batch = 3;
-        cfg.src_len = 8;
-        cfg.tgt_len = 8;
-        models::NmtModel model(cfg);
+        models::NmtModel model(lintNmtConfig());
         failures += lintModel(model, "nmt", opts, dot_written);
     }
 

@@ -28,9 +28,13 @@
  *
  * Exit status: 0 when every submitted request resolved as expected
  * (cancelled requests count as expected when a cancel was asked for),
- * 1 otherwise, 2 on usage errors — an unknown flag, a malformed flag
- * value, or a request-file field that is not a number where one is
- * expected (reported as `FILE:LINE: bad token 'x'`).
+ * 1 otherwise, 2 on usage errors — an unknown flag, a malformed or
+ * out-of-range flag value (`--slots`, `--beam`, `--max-new` and
+ * `--queue` need >= 1, `--buckets` positive ascending lengths,
+ * `--threads` 1..512), or a
+ * request-file field that is not a number where one is expected or a
+ * `tier=` other than interactive/batch (reported as
+ * `FILE:LINE: bad token 'x'`).
  *
  * usage: echo-serve --ckpt=PATH[,PATH...] [--requests=FILE] [--slots=N]
  *                   [--buckets=8,16,32] [--beam=K] [--max-new=N]
@@ -41,9 +45,11 @@
 #include <fstream>
 #include <future>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "core/thread_pool.h"
@@ -93,17 +99,28 @@ parseInt(const std::string &text, T &out)
     return ec == std::errc() && ptr == end;
 }
 
+/** Parse a non-empty, ascending list of positive bucket lengths. */
 bool
 parseBuckets(const std::string &spec, std::vector<int64_t> &buckets)
 {
     buckets.clear();
     for (const std::string &item : splitCommas(spec)) {
         int64_t b = 0;
-        if (!parseInt(item, b))
+        if (!parseInt(item, b) || b < 1 ||
+            (!buckets.empty() && b < buckets.back()))
             return false;
         buckets.push_back(b);
     }
-    return true;
+    return !buckets.empty();
+}
+
+/** parseInt() plus a closed range check [lo, hi]. */
+template <typename T>
+bool
+parseIntIn(const std::string &text, T &out, std::type_identity_t<T> lo,
+           std::type_identity_t<T> hi = std::numeric_limits<T>::max())
+{
+    return parseInt(text, out) && out >= lo && out <= hi;
 }
 
 bool
@@ -119,17 +136,18 @@ parseArgs(int argc, char **argv, ServeOptions &opts)
         } else if (arg.rfind("--journal=", 0) == 0) {
             opts.journal_path = arg.substr(10);
         } else if (arg.rfind("--slots=", 0) == 0) {
-            good = parseInt(arg.substr(8), opts.session.slots);
+            good = parseIntIn(arg.substr(8), opts.session.slots, 1);
         } else if (arg.rfind("--buckets=", 0) == 0) {
             good = parseBuckets(arg.substr(10), opts.session.buckets);
         } else if (arg.rfind("--beam=", 0) == 0) {
-            good = parseInt(arg.substr(7), opts.session.beam_width);
+            good = parseIntIn(arg.substr(7), opts.session.beam_width, 1);
         } else if (arg.rfind("--max-new=", 0) == 0) {
-            good = parseInt(arg.substr(10), opts.max_new_tokens);
+            good = parseIntIn(arg.substr(10), opts.max_new_tokens, 1);
         } else if (arg.rfind("--queue=", 0) == 0) {
-            good = parseInt(arg.substr(8), opts.server.queue_capacity);
+            good = parseIntIn(arg.substr(8), opts.server.queue_capacity, 1);
         } else if (arg.rfind("--threads=", 0) == 0) {
-            good = parseInt(arg.substr(10), opts.threads);
+            good = parseIntIn(arg.substr(10), opts.threads, 1,
+                              ThreadPool::kMaxThreads);
         } else {
             std::cerr << "echo-serve: unknown argument " << arg << "\n";
             return false;
@@ -176,7 +194,9 @@ loadRequests(const std::string &path, int64_t max_new,
             } else if (tok.rfind("model=", 0) == 0) {
                 req.model = tok.substr(6);
             } else if (tok.rfind("tier=", 0) == 0) {
-                req.tier = tok.substr(5) == "interactive"
+                const std::string tier = tok.substr(5);
+                good = tier == "interactive" || tier == "batch";
+                req.tier = tier == "interactive"
                                ? serve::Tier::kInteractive
                                : serve::Tier::kBatch;
             } else if (tok.rfind("deadline-us=", 0) == 0) {
